@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 from .kinematics import VehicleState
 
 
@@ -154,3 +156,50 @@ def evaluate(
         raise ValueError(f"non-finite gap: {gap}")
     r_w, r_d, bor, case = warning_range(fv, lv_est, params)
     return WarningDecision(r_w, r_d, bor, case, gap, gap <= r_w)
+
+
+def warn_batch(
+    gap: np.ndarray,
+    fv_v: np.ndarray,
+    fv_a: np.ndarray,
+    lv_v: np.ndarray,
+    lv_a: np.ndarray,
+    params: CampParams,
+) -> np.ndarray:
+    """`evaluate(...).warn` over arrays of (gap, FV, estimated LV) states.
+
+    Every branch of `warning_range` is computed elementwise with the same
+    expressions and the applicable one selected, so each element equals
+    the scalar decision. Divisions a branch does not select get a harmless
+    stand-in denominator.
+    """
+    if not np.isfinite(gap).all():
+        raise ValueError("non-finite gap")
+    t_d, floor = params.t_d, -params.min_decel
+    v_fvp = np.where(fv_v + fv_a * t_d > 0.0, fv_v + fv_a * t_d, 0.0)
+    v_lvp = np.where(lv_v + lv_a * t_d > 0.0, lv_v + lv_a * t_d, 0.0)
+    moving = np.where(lv_v > 0.0, 2.57, 0.0)
+    d_rqd = -5.3 + 0.68 * lv_a + moving - 0.086 * (fv_v - v_lvp)
+    d_rqd = np.where(floor < d_rqd, floor, d_rqd)
+    d_lv = np.where((lv_a < 0.0) & (floor < lv_a), floor, lv_a)
+    braking = d_lv < 0.0
+    d_lv_neg = np.where(braking, d_lv, -1.0)
+
+    bor_stationary = -(v_fvp * v_fvp) / (2.0 * d_rqd)
+    t_f = v_fvp / -d_rqd
+    t_l = np.where(braking, v_lvp / -d_lv_neg, math.inf)
+    dv = v_fvp - v_lvp
+    outbrakes = d_rqd < d_lv
+    bor_keeps_moving = np.where(
+        outbrakes, -(dv * dv) / (2.0 * np.where(outbrakes, d_rqd - d_lv, -1.0)), 0.0
+    )
+    bor_stops_first = v_fvp * v_fvp / (-2.0 * d_rqd) - v_lvp * v_lvp / (-2.0 * d_lv_neg)
+    bor = np.where(
+        lv_v <= params.eps_v,
+        bor_stationary,
+        np.where(t_l >= t_f, bor_keeps_moving, bor_stops_first),
+    )
+    bor = np.where(bor > 0.0, bor, 0.0)
+    r_d = 0.5 * (fv_a - lv_a) * t_d * t_d + (fv_v - lv_v) * t_d
+    r_w = bor + r_d
+    return gap <= np.where(r_w > 0.0, r_w, 0.0)

@@ -62,13 +62,23 @@ def transmit(states: Sequence[TimedState], cfg: ChannelConfig) -> list[ReceivedS
     """
     if not states:
         raise ValueError("transmit requires a non-empty state sequence")
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    dropped = rng.random(len(states) - 1) < cfg.per
-    slots = [ReceivedSlot(0, Bsm(0, states[0].t, states[0].state))]
-    for i in range(1, len(states)):
-        bsm = None if dropped[i - 1] else Bsm(i, states[i].t, states[i].state)
-        slots.append(ReceivedSlot(i, bsm))
-    return slots
+    delivered = delivery_mask(len(states), cfg.per, cfg.seed)
+    return [
+        ReceivedSlot(i, Bsm(i, ts.t, ts.state) if keep else None)
+        for i, (ts, keep) in enumerate(zip(states, delivered))
+    ]
+
+
+def delivery_mask(n_slots: int, per: float, seed: int) -> np.ndarray:
+    """The loss pattern `transmit` applies: a bool array, True = delivered.
+
+    Slot 0 is always delivered; each later slot is dropped when its Philox
+    draw falls below `per`.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    delivered = np.ones(n_slots, dtype=bool)
+    delivered[1:] = rng.random(n_slots - 1) >= per
+    return delivered
 
 
 def apply_mask(states: Sequence[TimedState], mask: Sequence[bool]) -> list[ReceivedSlot]:

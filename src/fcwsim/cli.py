@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--per", default="0.1:0.9:0.1", help="grid START:STOP:STEP or comma list (default 0.1:0.9:0.1)")
     swp.add_argument("--seeds", type=int, default=20, help="loss realizations per scenario (default 20)")
     swp.add_argument("--master-seed", type=int, default=0, help="sweep master seed (default 0)")
-    swp.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default 1)")
+    swp.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; has no effect (a sweep runs in one process)")
     swp.add_argument("--out", required=True, help="output directory for summary.csv / summary.json")
     _add_common_flags(swp)
     return parser
@@ -194,7 +195,7 @@ def _cmd_sweep(args) -> int:
         master_seed=args.master_seed,
         t_s=_period_from(args),
     )
-    cells = sweep(fleet, cfg, jobs=args.jobs)
+    cells = sweep(fleet, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(cells, out_dir / "summary.csv")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -193,6 +193,86 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
             s = KalmanState(s.mean, s.cov, received.a)
         estimates.append(kalman_emit(s))
     return estimates
+
+
+def estimate_batch(
+    lv_x: np.ndarray,
+    lv_v: np.ndarray,
+    lv_a: np.ndarray,
+    delivered: np.ndarray,
+    kind: EstimatorKind,
+    dt: float,
+    kcfg: Optional[KalmanConfig] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`estimate_stream` for many runs at once, one step at a time.
+
+    delivered[k] is step k's delivery mask over all runs (shape: the run
+    shape); lv_x[k], lv_v[k], lv_a[k] are the sender's state at step k,
+    broadcastable to the run shape. Yields the estimated (x, v, a) arrays
+    of every step. Each run's estimates are bitwise those `estimate_stream`
+    gives for its slots: the updates are the scalar expressions applied
+    elementwise, and the Kalman covariance goes through the same 2x2
+    matrix products, stacked over runs.
+    """
+    if len(delivered) == 0 or not delivered[0].all():
+        raise ValueError("estimate_batch requires every run's slot 0 delivered")
+    first = (np.broadcast_to(col[0], delivered.shape[1:]) for col in (lv_x, lv_v, lv_a))
+    rest = zip(delivered[1:], lv_x[1:], lv_v[1:], lv_a[1:])
+    if kind is EstimatorKind.KALMAN:
+        steps = _kalman_steps(*first, rest, dt, kcfg or KalmanConfig())
+    else:
+        steps = _dead_reckon_steps(*first, rest, dt, kind is EstimatorKind.CONSTANT_VELOCITY)
+    for x, v, a in steps:
+        if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(a).all()):
+            raise ValueError("non-finite vehicle state estimate")
+        yield x, v, a
+
+
+def _dead_reckon_steps(x, v, a, rest, dt: float, constant_velocity: bool):
+    yield x, v, a
+    for d, rx, rv, ra in rest:
+        if constant_velocity:
+            px, pv, pa = x + v * dt, v, 0.0
+        else:
+            stop = v + a * dt < 0.0
+            t_stop = -v / np.where(stop, a, -1.0)
+            px = np.where(
+                stop, x + v * t_stop + 0.5 * a * t_stop * t_stop, x + v * dt + 0.5 * a * dt * dt
+            )
+            pv, pa = _clamp_at_rest(v + a * dt), a
+        x, v, a = np.where(d, rx, px), np.where(d, rv, pv), np.where(d, ra, pa)
+        yield x, v, a
+
+
+def _kalman_steps(mean_x, mean_v, held, rest, dt: float, kcfg: KalmanConfig):
+    cov = np.broadcast_to(np.eye(2) * kcfg.p0, mean_x.shape + (2, 2))
+    yield mean_x, _clamp_at_rest(mean_v), held
+    f = np.array([[1.0, 0.0], [dt, 1.0]])
+    half = 0.5 * dt * dt
+    qm = kcfg.q * np.array([[dt, half], [half, dt ** 3 / 3.0]])
+    r = kcfg.r
+    for d, rx, _, ra in rest:
+        # predict (kalman_predict)
+        mean_v, mean_x = mean_v + held * dt, mean_x + mean_v * dt + 0.5 * held * dt * dt
+        cov = f @ cov @ f.T + qm
+        # correct (kalman_correct), kept only where the slot was delivered
+        gain = cov[..., :, 1] / (cov[..., 1, 1] + r)[..., None]
+        innovation = rx - mean_x
+        ikc = np.empty_like(cov)
+        ikc[..., 0, 0], ikc[..., 1, 0] = 1.0, 0.0
+        ikc[..., 0, 1], ikc[..., 1, 1] = 0.0 - gain[..., 0], 1.0 - gain[..., 1]
+        corrected = ikc @ cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
+        corrected = 0.5 * (corrected + corrected.swapaxes(-1, -2))
+        mean_v = np.where(d, mean_v + gain[..., 0] * innovation, mean_v)
+        mean_x = np.where(d, mean_x + gain[..., 1] * innovation, mean_x)
+        cov = np.where(d[..., None, None], corrected, cov)
+        held = np.where(d, ra, held)
+        yield mean_x, _clamp_at_rest(mean_v), held
+
+
+def _clamp_at_rest(v: np.ndarray) -> np.ndarray:
+    """Elementwise max(0.0, v), with Python's choice of 0.0 for v <= 0."""
+    return np.where(v > 0.0, v, 0.0)
 
 
 def _require_initialized(s) -> None:

@@ -8,24 +8,29 @@ through the network). The FV state is exact on both sides.
 
 Every (scenario, PER, seed-index) cell draws its loss pattern from an
 independent substream keyed by a SHA-256 mix of the master seed, so sweep
-results are identical whether cells run serially or in parallel, and
-extending the PER grid or seed count never perturbs existing cells. All
-estimators face the same loss masks, making their comparison paired.
+results never depend on the order runs are computed in, and extending the
+PER grid or seed count never perturbs existing cells. All estimators face
+the same loss masks, making their comparison paired.
+
+`run_scenario` steps one run through the scalar functions; it backs `run`
+and is the reference the batched sweep kernel is tested against. `sweep`
+and `run_cell` step every run of an estimator together over arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .camp_linear import CampParams, WarningDecision, evaluate
-from .channel import ChannelConfig, transmit
+import numpy as np
+
+from .camp_linear import CampParams, WarningDecision, evaluate, warn_batch
+from .channel import ChannelConfig, delivery_mask, transmit
 from .errors import ConfigError
-from .estimators import EstimatorKind, KalmanConfig, estimate_stream
+from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
 from .metrics import ConfusionCounts, MetricSummary, aggregate
 from .scenarios import ScenarioTrace
@@ -155,53 +160,99 @@ def run_cell(
     truth: Optional[dict[str, list[WarningDecision]]] = None,
 ) -> SweepCell:
     """Aggregate one (estimator, PER) cell over all scenarios and seed indices."""
-    if truth is None:
-        truth = {trace.id: truth_decisions(trace, cfg.camp) for trace in fleet}
-    counts = []
-    for trace in fleet:
-        trace_truth = truth[trace.id]
-        for seed_index in range(cfg.seeds):
-            seed = derive_seed(cfg.master_seed, trace.id, per, seed_index)
-            _, c = run_scenario(trace, kind, per, seed, cfg.camp, cfg.kalman, trace_truth)
-            counts.append(c)
-    return SweepCell(kind, per, aggregate(counts), len(fleet), cfg.seeds)
+    _check_ids(fleet)
+    return _Batch(fleet, (per,), cfg, truth).cells(kind)[0]
 
 
-# Read-only per-worker state for parallel sweeps, installed by the pool
-# initializer so the fleet is pickled once per worker instead of per task.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(fleet, cfg, truth) -> None:
-    _WORKER_STATE["fleet"] = fleet
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["truth"] = truth
-
-
-def _run_cell_task(task: tuple[EstimatorKind, float]) -> SweepCell:
-    kind, per = task
-    return run_cell(_WORKER_STATE["fleet"], kind, per, _WORKER_STATE["cfg"], _WORKER_STATE["truth"])
-
-
-def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig, jobs: int = 1) -> list[SweepCell]:
+def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
     """Full (estimator, PER) cross product, averaged over scenarios x seeds.
 
-    Cells are emitted in the configured (estimator, PER) order and are
-    bitwise independent of `jobs`.
+    Cells are emitted in the configured (estimator, PER) order. Each
+    estimator steps all of its (PER, scenario, seed) runs through time
+    together, and every estimator reads the same loss masks.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
+    _check_ids(fleet)
     _check_clock(fleet, cfg)
-    truth = {trace.id: truth_decisions(trace, cfg.camp) for trace in fleet}
-    tasks = [(kind, per) for kind in cfg.estimators for per in cfg.pers]
-    if jobs <= 1 or len(tasks) == 1:
-        return [run_cell(fleet, kind, per, cfg, truth) for kind, per in tasks]
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        initializer=_init_worker,
-        initargs=(list(fleet), cfg, truth),
-    ) as pool:
-        return list(pool.map(_run_cell_task, tasks))
+    batch = _Batch(fleet, cfg.pers, cfg)
+    return [cell for kind in cfg.estimators for cell in batch.cells(kind)]
+
+
+class _Batch:
+    """All (PER, scenario, seed) runs of a sweep, as arrays.
+
+    Runs are grouped by trace length and sample period; a group's runs
+    have shape (PER, scenario, seed) and its per-scenario arrays are
+    shaped (steps, 1, scenario, 1) so step k broadcasts over the runs.
+    The loss masks are drawn once here and shared by every estimator.
+    Truth warnings come from `truth` ({id: decisions}) when given, else
+    from the same batched warning evaluation on the exact LV states.
+    """
+
+    def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
+        self.fleet, self.pers, self.cfg = fleet, pers, cfg
+        groups: dict[tuple[int, float], list[int]] = {}
+        for i, trace in enumerate(fleet):
+            groups.setdefault((len(trace), trace.t_s), []).append(i)
+        self.groups = []
+        for (n_steps, t_s), members in groups.items():
+            traces = [fleet[i] for i in members]
+            lv = _columns(traces, "lv")
+            fv = _columns(traces, "fv")
+            if truth is None:
+                truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
+            else:
+                truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
+            delivered = np.empty((n_steps, len(pers), len(traces), cfg.seeds), dtype=bool)
+            for p, per in enumerate(pers):
+                for s, t in enumerate(traces):
+                    for j in range(cfg.seeds):
+                        seed = derive_seed(cfg.master_seed, t.id, per, j)
+                        delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
+            self.groups.append((members, t_s, lv, fv, truth_warn, delivered))
+
+    def cells(self, kind: EstimatorKind) -> list[SweepCell]:
+        """One cell per PER for `kind`; runs are aggregated in (scenario, seed) order."""
+        cfg = self.cfg
+        counts = np.zeros((len(self.pers), len(self.fleet), cfg.seeds, 4), dtype=np.int64)
+        for members, t_s, lv, fv, truth_warn, delivered in self.groups:
+            ch = np.zeros(delivered.shape[1:], dtype=np.int64)
+            n_warn = np.zeros_like(ch)
+            estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
+            for k, (x, v, a) in enumerate(estimates):
+                gap = x - fv[0][k] - cfg.camp.length_offset
+                warn = warn_batch(gap, fv[1][k], fv[2][k], v, a, cfg.camp)
+                ch += truth_warn[k] & warn
+                n_warn += warn
+            n_truth = truth_warn.sum(axis=0)
+            is_ = n_truth - ch
+            ih = n_warn - ch
+            cs = len(delivered) - ch - is_ - ih
+            counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
+        return [
+            SweepCell(
+                kind, per, aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()]),
+                len(self.fleet), cfg.seeds,
+            )
+            for per, per_counts in zip(self.pers, counts)
+        ]
+
+
+def _columns(traces: Sequence[ScenarioTrace], side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, v, a) of one vehicle of equal-length traces, each shaped (steps, 1, scenario, 1)."""
+    return tuple(
+        np.array([[getattr(ts.state, name) for ts in getattr(t, side)] for t in traces]).T[:, None, :, None]
+        for name in ("x", "v", "a")
+    )
+
+
+def _check_ids(fleet: Sequence[ScenarioTrace]) -> None:
+    seen = set()
+    for trace in fleet:
+        if trace.id in seen:
+            raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
+        seen.add(trace.id)
 
 
 def _check_clock(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> None:

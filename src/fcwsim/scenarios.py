@@ -286,7 +286,12 @@ def save_fleet(traces: Sequence[ScenarioTrace], out_dir: Path | str) -> Path:
 
 
 def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
-    """Load every scenario listed in a fleet directory's manifest."""
+    """Load every scenario listed in a fleet directory's manifest.
+
+    Rejects manifests that would corrupt results without failing: repeated
+    ids (truth and loss masks are keyed by id), files outside the fleet
+    directory, and a manifest `t_s` that disagrees with a trace's period.
+    """
     fleet_dir = Path(fleet_dir)
     manifest_path = fleet_dir / MANIFEST_NAME
     try:
@@ -298,9 +303,22 @@ def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
     entries = manifest.get("scenarios")
     if not isinstance(entries, list) or not entries:
         raise TraceFormatError(f"{manifest_path}: no scenarios listed")
-    traces = []
+    t_s = manifest.get("t_s")
+    if t_s is not None and not (isinstance(t_s, (int, float)) and math.isfinite(t_s)):
+        raise TraceFormatError(f"{manifest_path}: invalid t_s {t_s!r}")
+    root = fleet_dir.resolve()
+    traces, ids = [], set()
     for entry in entries:
-        if "id" not in entry or "file" not in entry:
-            raise TraceFormatError(f"{manifest_path}: manifest entry missing id/file: {entry}")
-        traces.append(load_csv(fleet_dir / entry["file"], trace_id=entry["id"]))
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and isinstance(entry.get("file"), str)):
+            raise TraceFormatError(f"{manifest_path}: manifest entry missing id/file strings: {entry}")
+        if entry["id"] in ids:
+            raise TraceFormatError(f"{manifest_path}: duplicate scenario id {entry['id']!r}")
+        ids.add(entry["id"])
+        path = fleet_dir / entry["file"]
+        if not path.resolve().is_relative_to(root):
+            raise TraceFormatError(f"{manifest_path}: file {entry['file']!r} lies outside the fleet directory")
+        trace = load_csv(path, trace_id=entry["id"])
+        if t_s is not None and abs(trace.t_s - t_s) > TIME_TOLERANCE:
+            raise TraceFormatError(f"{manifest_path}: t_s {t_s} != sample period {trace.t_s} of {path.name}")
+        traces.append(trace)
     return traces

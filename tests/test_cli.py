@@ -99,6 +99,15 @@ def test_corrupt_fleet_is_parse_error(tmp_path, fleet_dir):
     assert code == 3
 
 
+def test_sweep_rejects_duplicate_ids_as_parse_error(tmp_path, fleet_dir):
+    manifest = json.loads((fleet_dir / "manifest.json").read_text())
+    manifest["scenarios"][1]["id"] = manifest["scenarios"][0]["id"]
+    (fleet_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["sweep", "--fleet", str(fleet_dir), "--per", "0.0", "--seeds", "1",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_summaries(tmp_path, fleet_dir):
     out = tmp_path / "sweep"
     code = main([

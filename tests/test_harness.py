@@ -118,12 +118,6 @@ def test_sweep_zero_loss_is_perfect(fleet):
         assert cell.summary.mean_accuracy == 1.0
 
 
-def test_sweep_parallel_matches_serial(fleet):
-    cfg = RunConfig(estimators=(EstimatorKind.CONSTANT_VELOCITY, EstimatorKind.KALMAN),
-                    pers=(0.2, 0.6), seeds=2)
-    assert sweep(fleet, cfg, jobs=1) == sweep(fleet, cfg, jobs=2)
-
-
 def test_sweep_input_validation(fleet):
     with pytest.raises(ConfigError):
         sweep([], RunConfig())
@@ -132,6 +126,14 @@ def test_sweep_input_validation(fleet):
     mixed = list(fleet) + [constant_velocity_trace(t_s=0.05)]
     with pytest.raises(ConfigError):
         sweep(mixed, RunConfig())
+
+
+def test_duplicate_ids_are_config_errors(fleet):
+    twice = list(fleet) + [fleet[0]]
+    with pytest.raises(ConfigError, match="duplicate scenario id"):
+        sweep(twice, RunConfig(pers=(0.0,), seeds=1))
+    with pytest.raises(ConfigError, match="duplicate scenario id"):
+        run_cell(twice, EstimatorKind.CONSTANT_VELOCITY, 0.0, RunConfig(pers=(0.0,), seeds=1))
 
 
 def test_run_config_validation():

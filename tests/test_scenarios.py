@@ -209,3 +209,39 @@ def test_load_fleet_errors(tmp_path):
     (fleet_dir / "manifest.json").write_text('{"scenarios": []}')
     with pytest.raises(TraceFormatError, match="no scenarios"):
         load_fleet(fleet_dir)
+
+
+def _write_fleet_with(tmp_path, edit):
+    """A saved 3-scenario fleet whose manifest has been passed through `edit`."""
+    fleet_dir = tmp_path / "fleet"
+    save_fleet(generate_fleet(GenConfig(n_scenarios=3, seed=5)), fleet_dir)
+    manifest = json.loads((fleet_dir / "manifest.json").read_text())
+    edit(manifest)
+    (fleet_dir / "manifest.json").write_text(json.dumps(manifest))
+    return fleet_dir
+
+
+def test_load_fleet_rejects_duplicate_ids(tmp_path):
+    def reuse_first_id(manifest):
+        manifest["scenarios"][2]["id"] = manifest["scenarios"][0]["id"]
+
+    with pytest.raises(TraceFormatError, match="duplicate scenario id 's0000'"):
+        load_fleet(_write_fleet_with(tmp_path, reuse_first_id))
+
+
+def test_load_fleet_rejects_files_outside_the_fleet(tmp_path):
+    def escape(manifest):
+        manifest["scenarios"][1]["file"] = "../s0001.csv"
+
+    fleet_dir = _write_fleet_with(tmp_path, escape)
+    (tmp_path / "s0001.csv").write_bytes((fleet_dir / "s0001.csv").read_bytes())
+    with pytest.raises(TraceFormatError, match="outside the fleet directory"):
+        load_fleet(fleet_dir)
+
+
+def test_load_fleet_rejects_manifest_period_mismatch(tmp_path):
+    def wrong_period(manifest):
+        manifest["t_s"] = 0.2
+
+    with pytest.raises(TraceFormatError, match="t_s 0.2 != sample period 0.1"):
+        load_fleet(_write_fleet_with(tmp_path, wrong_period))
