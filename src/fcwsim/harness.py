@@ -160,7 +160,6 @@ def run_cell(
     truth: Optional[dict[str, list[WarningDecision]]] = None,
 ) -> SweepCell:
     """Aggregate one (estimator, PER) cell over all scenarios and seed indices."""
-    _check_ids(fleet)
     return _Batch(fleet, (per,), cfg, truth).cells(kind)[0]
 
 
@@ -173,7 +172,6 @@ def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
-    _check_ids(fleet)
     _check_clock(fleet, cfg)
     batch = _Batch(fleet, cfg.pers, cfg)
     return [cell for kind in cfg.estimators for cell in batch.cells(kind)]
@@ -191,6 +189,7 @@ class _Batch:
     """
 
     def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
+        _check_ids(fleet)
         self.fleet, self.pers, self.cfg = fleet, pers, cfg
         groups: dict[tuple[int, float], list[int]] = {}
         for i, trace in enumerate(fleet):

@@ -300,7 +300,7 @@ def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
         raise TraceFormatError(f"{manifest_path}: cannot open ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    entries = manifest.get("scenarios")
+    entries = manifest.get("scenarios") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise TraceFormatError(f"{manifest_path}: no scenarios listed")
     t_s = manifest.get("t_s")

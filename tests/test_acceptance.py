@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines. Criteria 5 and 6 average 50 loss realizations per scenario
-over the default 100-scenario fleet and dominate the runtime (a few
-minutes total).
+over the default 100-scenario fleet and dominate the runtime.
 
 Criterion 6c checks the estimator ranking that a noiseless fleet allows at
 PER 0.9: for every documented Kalman q/r tuning, CV < Kalman <= CA in mean

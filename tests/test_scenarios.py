@@ -206,9 +206,10 @@ def test_load_fleet_errors(tmp_path):
     (fleet_dir / "manifest.json").write_text("{not json")
     with pytest.raises(TraceFormatError, match="invalid JSON"):
         load_fleet(fleet_dir)
-    (fleet_dir / "manifest.json").write_text('{"scenarios": []}')
-    with pytest.raises(TraceFormatError, match="no scenarios"):
-        load_fleet(fleet_dir)
+    for manifest in ('{"scenarios": []}', "[]"):
+        (fleet_dir / "manifest.json").write_text(manifest)
+        with pytest.raises(TraceFormatError, match="no scenarios"):
+            load_fleet(fleet_dir)
 
 
 def _write_fleet_with(tmp_path, edit):
