@@ -24,9 +24,8 @@ from .kinematics import TimedState, VehicleState
 
 @dataclass(frozen=True)
 class Bsm:
-    """One broadcast safety message: sequence number, send time, sender state."""
+    """One broadcast safety message: send time and sender state."""
 
-    seq: int
     t: float
     state: VehicleState
 
@@ -64,7 +63,7 @@ def transmit(states: Sequence[TimedState], cfg: ChannelConfig) -> list[ReceivedS
         raise ValueError("transmit requires a non-empty state sequence")
     delivered = delivery_mask(len(states), cfg.per, cfg.seed)
     return [
-        ReceivedSlot(i, Bsm(i, ts.t, ts.state) if keep else None)
+        ReceivedSlot(i, Bsm(ts.t, ts.state) if keep else None)
         for i, (ts, keep) in enumerate(zip(states, delivered))
     ]
 
@@ -91,7 +90,7 @@ def apply_mask(states: Sequence[TimedState], mask: Sequence[bool]) -> list[Recei
     if len(mask) > 0 and not mask[0]:
         raise ValueError("slot 0 must be delivered")
     return [
-        ReceivedSlot(i, Bsm(i, ts.t, ts.state) if keep else None)
+        ReceivedSlot(i, Bsm(ts.t, ts.state) if keep else None)
         for i, (ts, keep) in enumerate(zip(states, mask))
     ]
 

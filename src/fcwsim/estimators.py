@@ -37,6 +37,7 @@ from .errors import ConfigError
 from .kinematics import (
     SampleClock,
     VehicleState,
+    step_ca_batch,
     step_position_ca,
     step_position_cv,
     step_velocity_ca,
@@ -51,10 +52,9 @@ class EstimatorKind(Enum):
 
 @dataclass(frozen=True)
 class DeadReckonState:
-    """Dead-reckoning estimator state: current estimate plus init flag."""
+    """Dead-reckoning estimator state: the current estimate."""
 
     est: VehicleState
-    initialized: bool = True
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,16 @@ class KalmanState:
     mean: np.ndarray
     cov: np.ndarray
     held_input: float
-    initialized: bool = True
 
 
 def cv_predict(s: DeadReckonState, dt: float) -> DeadReckonState:
     """Constant-velocity coast: advance x, hold v, report a = 0."""
-    _require_initialized(s)
     est = s.est
     return DeadReckonState(VehicleState(step_position_cv(est.x, est.v, dt), est.v, 0.0))
 
 
 def ca_predict(s: DeadReckonState, dt: float) -> DeadReckonState:
     """Constant-acceleration coast: advance x and v with held a."""
-    _require_initialized(s)
     est = s.est
     return DeadReckonState(
         VehicleState(
@@ -120,7 +117,6 @@ def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
     order as the kinematic step functions so that loss-free streams over
     model-consistent data replay the sender's trajectory bit-identically.
     """
-    _require_initialized(s)
     v, x = float(s.mean[0]), float(s.mean[1])
     u = s.held_input
     mean = np.array([v + u * dt, x + v * dt + 0.5 * u * dt * dt])
@@ -133,7 +129,6 @@ def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
 
 def kalman_correct(s: KalmanState, measured_x: float, r: float) -> KalmanState:
     """Measurement update with a received position; Joseph-form covariance."""
-    _require_initialized(s)
     if not math.isfinite(measured_x):
         raise ValueError(f"non-finite measurement: {measured_x}")
     if r <= 0.0:
@@ -150,7 +145,6 @@ def kalman_correct(s: KalmanState, measured_x: float, r: float) -> KalmanState:
 
 def kalman_emit(s: KalmanState) -> VehicleState:
     """Map the filter state to a VehicleState (speed clamped at rest)."""
-    _require_initialized(s)
     return VehicleState(float(s.mean[1]), max(0.0, float(s.mean[0])), s.held_input)
 
 
@@ -234,12 +228,8 @@ def _dead_reckon_steps(x, v, a, rest, dt: float, constant_velocity: bool):
         if constant_velocity:
             px, pv, pa = x + v * dt, v, 0.0
         else:
-            stop = v + a * dt < 0.0
-            t_stop = -v / np.where(stop, a, -1.0)
-            px = np.where(
-                stop, x + v * t_stop + 0.5 * a * t_stop * t_stop, x + v * dt + 0.5 * a * dt * dt
-            )
-            pv, pa = _clamp_at_rest(v + a * dt), a
+            px, pv = step_ca_batch(x, v, a, dt)
+            pa = a
         x, v, a = np.where(d, rx, px), np.where(d, rv, pv), np.where(d, ra, pa)
         yield x, v, a
 
@@ -273,8 +263,3 @@ def _kalman_steps(mean_x, mean_v, held, rest, dt: float, kcfg: KalmanConfig):
 def _clamp_at_rest(v: np.ndarray) -> np.ndarray:
     """Elementwise max(0.0, v), with Python's choice of 0.0 for v <= 0."""
     return np.where(v > 0.0, v, 0.0)
-
-
-def _require_initialized(s) -> None:
-    if not s.initialized:
-        raise ValueError("estimator state is not initialized")

@@ -197,8 +197,9 @@ class _Batch:
         self.groups = []
         for (n_steps, t_s), members in groups.items():
             traces = [fleet[i] for i in members]
-            lv = _columns(traces, "lv")
-            fv = _columns(traces, "fv")
+            data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
+            lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
+            fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
             if truth is None:
                 truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
             else:
@@ -236,14 +237,6 @@ class _Batch:
             )
             for per, per_counts in zip(self.pers, counts)
         ]
-
-
-def _columns(traces: Sequence[ScenarioTrace], side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, v, a) of one vehicle of equal-length traces, each shaped (steps, 1, scenario, 1)."""
-    return tuple(
-        np.array([[getattr(ts.state, name) for ts in getattr(t, side)] for t in traces]).T[:, None, :, None]
-        for name in ("x", "v", "a")
-    )
 
 
 def _check_ids(fleet: Sequence[ScenarioTrace]) -> None:

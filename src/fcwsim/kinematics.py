@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class VehicleState:
@@ -96,3 +98,15 @@ def step_position_ca(x: float, v: float, a: float, dt: float) -> float:
         t_stop = -v / a
         return x + v * t_stop + 0.5 * a * t_stop * t_stop
     return x + v * dt + 0.5 * a * dt * dt
+
+
+def step_ca_batch(x: np.ndarray, v: np.ndarray, a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(step_position_ca, step_velocity_ca) elementwise over arrays, bit for bit.
+
+    Inputs are not checked; callers pass finite states and a positive dt.
+    """
+    stop = v + a * dt < 0.0
+    t_stop = -v / np.where(stop, a, -1.0)
+    x = np.where(stop, x + v * t_stop + 0.5 * a * t_stop * t_stop, x + v * dt + 0.5 * a * dt * dt)
+    v = v + a * dt
+    return x, np.where(v > 0.0, v, 0.0)

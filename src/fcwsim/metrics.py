@@ -9,7 +9,7 @@ correct hazard (ch), correct safe (cs), incorrect safe / missed hazard
     accuracy      = (ch + cs) / (is_ + ih + ch + cs)
 
 A ratio with an empty denominator is undefined (None), not an error, and
-undefined values are excluded from cross-scenario averages.
+undefined values are excluded from the averages over runs.
 """
 
 from __future__ import annotations
@@ -50,30 +50,30 @@ def accuracy(c: ConfusionCounts) -> Optional[float]:
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """Cross-scenario averages with undefined-ratio exclusion counts."""
+    """Averages over runs (scenarios x seeds) with undefined-ratio exclusion counts."""
 
     mean_tp: Optional[float]
     mean_accuracy: Optional[float]
     tp_std: Optional[float]
     accuracy_std: Optional[float]
-    n_scenarios: int
+    n_runs: int
     n_undefined_tp: int
     n_undefined_accuracy: int
 
 
-def aggregate(per_scenario: Sequence[ConfusionCounts]) -> MetricSummary:
-    """Per-scenario ratios first, then the arithmetic mean of the defined ones."""
-    if not per_scenario:
-        raise ValueError("aggregate requires at least one scenario")
-    tps = [tp for c in per_scenario if (tp := true_positive(c)) is not None]
-    accs = [a for c in per_scenario if (a := accuracy(c)) is not None]
-    n = len(per_scenario)
+def aggregate(runs: Sequence[ConfusionCounts]) -> MetricSummary:
+    """Per-run ratios first, then the arithmetic mean of the defined ones."""
+    if not runs:
+        raise ValueError("aggregate requires at least one run")
+    tps = [tp for c in runs if (tp := true_positive(c)) is not None]
+    accs = [a for c in runs if (a := accuracy(c)) is not None]
+    n = len(runs)
     return MetricSummary(
         mean_tp=sum(tps) / len(tps) if tps else None,
         mean_accuracy=sum(accs) / len(accs) if accs else None,
         tp_std=_std(tps),
         accuracy_std=_std(accs),
-        n_scenarios=n,
+        n_runs=n,
         n_undefined_tp=n - len(tps),
         n_undefined_accuracy=n - len(accs),
     )

@@ -1,13 +1,15 @@
 """Scenario traces: synthetic braking-conflict generator and CSV ingestion.
 
 A trace holds time-aligned leading-vehicle (LV) and following-vehicle (FV)
-state sequences at a fixed sample period, time origin t = 0.
+states at a fixed sample period, time origin t = 0, as one read-only
+float64 array of shape (steps, 7) whose columns follow the CSV schema.
 
 CSV schema (one row per step, required header, '.' decimal):
 
     t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv
 
-Floats are written with repr so a saved trace reloads bit-identically.
+Floats are written with repr so a saved trace reloads bit-identically;
+lines end in CRLF.
 
 The generator stands in for a naturalistic near-crash dataset: both
 vehicles cruise at sampled speeds with a sampled time headway; at a
@@ -24,53 +26,105 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
-from .kinematics import TimedState, VehicleState, step_position_ca, step_position_cv, step_velocity_ca
+from .kinematics import TimedState, VehicleState, step_ca_batch
 
 CSV_COLUMNS = ("t", "x_lv", "v_lv", "a_lv", "x_fv", "v_fv", "a_fv")
+SPEED_COLUMNS = (2, 5)
 TIME_TOLERANCE = 1e-9
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTrace:
-    """Paired LV/FV state sequences sampled every t_s seconds."""
+    """Paired LV/FV states sampled every t_s seconds.
+
+    `data` is a read-only float64 array of shape (steps, 7), one row per
+    step, columns in CSV_COLUMNS order. `lv` and `fv` give the same states
+    as TimedState tuples for the scalar per-run path; they are built on
+    first use.
+    """
 
     id: str
     t_s: float
-    lv: tuple[TimedState, ...]
-    fv: tuple[TimedState, ...]
+    data: np.ndarray
 
     def __post_init__(self):
         if self.t_s <= 0.0 or not math.isfinite(self.t_s):
             raise ValueError(f"trace {self.id}: invalid sample period {self.t_s}")
-        if len(self.lv) != len(self.fv):
-            raise ValueError(f"trace {self.id}: LV/FV length mismatch ({len(self.lv)} vs {len(self.fv)})")
-        if len(self.lv) < 2:
-            raise ValueError(f"trace {self.id}: needs at least 2 steps, got {len(self.lv)}")
-        if abs(self.lv[0].t) > TIME_TOLERANCE:
-            raise ValueError(f"trace {self.id}: time origin must be 0, got {self.lv[0].t}")
-        for k, (lv_ts, fv_ts) in enumerate(zip(self.lv, self.fv)):
-            if abs(lv_ts.t - fv_ts.t) > TIME_TOLERANCE:
-                raise ValueError(f"trace {self.id}: LV/FV timestamps differ at step {k}")
-            if k > 0 and abs(lv_ts.t - self.lv[k - 1].t - self.t_s) > TIME_TOLERANCE:
-                raise ValueError(
-                    f"trace {self.id}: non-uniform sampling at step {k} "
-                    f"(dt={lv_ts.t - self.lv[k - 1].t}, expected {self.t_s})"
-                )
-        if self.lv[0].state.x - self.fv[0].state.x <= 0.0:
+        data = np.array(self.data, dtype=np.float64)
+        if data.ndim != 2 or data.shape[1] != len(CSV_COLUMNS):
+            raise ValueError(f"trace {self.id}: data must have shape (steps, 7), got {data.shape}")
+        if len(data) < 2:
+            raise ValueError(f"trace {self.id}: needs at least 2 steps, got {len(data)}")
+        fault = _bad_value(data) or _bad_timing(data[:, 0], self.t_s)
+        if fault:
+            raise ValueError(f"trace {self.id}: step {fault[0]}: {fault[1]}")
+        if float(data[0, 1]) - float(data[0, 4]) <= 0.0:
             raise ValueError(f"trace {self.id}: initial gap must be positive")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScenarioTrace):
+            return NotImplemented
+        return self.id == other.id and self.t_s == other.t_s and np.array_equal(self.data, other.data)
+
+    __hash__ = None
 
     def __len__(self) -> int:
-        return len(self.lv)
+        return len(self.data)
+
+    @cached_property
+    def lv(self) -> tuple[TimedState, ...]:
+        return self._states(1)
+
+    @cached_property
+    def fv(self) -> tuple[TimedState, ...]:
+        return self._states(4)
+
+    def _states(self, first: int) -> tuple[TimedState, ...]:
+        columns = self.data[:, (0, first, first + 1, first + 2)].tolist()
+        return tuple(TimedState(t, VehicleState(x, v, a)) for t, x, v, a in columns)
 
     def steps(self) -> Iterator[tuple[TimedState, TimedState]]:
         return zip(self.lv, self.fv)
+
+
+def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
+    """First step holding a non-finite value or a negative speed, with what is wrong there."""
+    finite = np.isfinite(data)
+    negative = data[:, SPEED_COLUMNS] < 0.0
+    bad = ~finite.all(axis=1) | negative.any(axis=1)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    if not finite[k].all():
+        j = int(finite[k].argmin())
+        return k, f"non-finite {CSV_COLUMNS[j]}={float(data[k, j])}"
+    j = SPEED_COLUMNS[int(negative[k].argmax())]
+    return k, f"negative speed {CSV_COLUMNS[j]}={float(data[k, j])}"
+
+
+def _bad_timing(t: np.ndarray, t_s: float) -> tuple[int, str] | None:
+    """First step off the time origin or off a positive t_s sampling grid, with what is wrong there."""
+    if not 0.0 <= t[0] <= TIME_TOLERANCE:  # a negative origin could not be a TimedState
+        return 0, f"time origin must be 0, got {float(t[0])}"
+    if t_s <= 0.0:
+        return 1, "non-increasing timestamps"
+    with np.errstate(over="ignore"):  # an overflowing difference is off the grid as inf
+        dt = np.diff(t)
+        off = np.abs(dt - t_s) > TIME_TOLERANCE
+    if not off.any():
+        return None
+    k = int(off.argmax())
+    return k + 1, f"non-uniform sampling (dt={float(dt[k])}, expected {t_s})"
 
 
 @dataclass(frozen=True)
@@ -116,22 +170,34 @@ def generate_fleet(cfg: GenConfig) -> list[ScenarioTrace]:
 
     The sampled braking level is snapped so the LV comes to rest exactly on
     a sample boundary (see _snap_braking); the drift from the sampled values
-    is below half a sample period's worth of deceleration.
+    is below half a sample period's worth of deceleration. All scenarios
+    are integrated together, step by step, with step_ca_batch for the LV
+    and step_position_cv's expression for the FV.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n_steps = round(cfg.duration / cfg.t_s) + 1
-    traces = []
-    for i in range(cfg.n_scenarios):
+    params = []
+    for _ in range(cfg.n_scenarios):
         v_raw = float(rng.uniform(*cfg.speed_range))
         v_fv = float(rng.uniform(*cfg.speed_range))
         headway = float(rng.uniform(*cfg.headway_range))
         decel_raw = float(rng.uniform(*cfg.decel_range))
         onset_step = round(float(rng.uniform(*cfg.onset_range)) / cfg.t_s)
         v_lv, decel = _snap_braking(v_raw, decel_raw, cfg.t_s)
-        traces.append(
-            _build_trace(f"s{i:04d}", cfg.t_s, n_steps, v_lv, v_fv, headway * v_fv, decel, onset_step)
-        )
-    return traces
+        params.append((v_lv, v_fv, headway * v_fv, decel, onset_step))
+    v, v_fv, x_lv, decel, onset_step = (np.array(column) for column in zip(*params))
+    x_fv = np.zeros_like(x_lv)
+    dt = cfg.t_s
+    data = np.zeros((cfg.n_scenarios, n_steps, len(CSV_COLUMNS)))
+    data[:, :, 5] = v_fv[:, None]
+    for k in range(n_steps):
+        # The braking level applies from the onset step until the LV rests.
+        a = np.where((k >= onset_step) & (v > 0.0), decel, 0.0)
+        data[:, k, 0] = k * dt
+        data[:, k, 1], data[:, k, 2], data[:, k, 3], data[:, k, 4] = x_lv, v, a, x_fv
+        x_lv, v = step_ca_batch(x_lv, v, a, dt)
+        x_fv = x_fv + v_fv * dt
+    return [ScenarioTrace(f"s{i:04d}", dt, rows) for i, rows in enumerate(data)]
 
 
 def _snap_braking(v_raw: float, decel_raw: float, t_s: float) -> tuple[float, float]:
@@ -169,45 +235,20 @@ def _ulp_neighbors(value: float, radius: int) -> Iterator[float]:
         yield down
 
 
-def _build_trace(
-    trace_id: str,
-    t_s: float,
-    n_steps: int,
-    v_lv: float,
-    v_fv: float,
-    gap0: float,
-    decel: float,
-    onset_step: int,
-) -> ScenarioTrace:
-    lv, fv = [], []
-    x_lv, x_fv, v = gap0, 0.0, v_lv
-    for k in range(n_steps):
-        # The braking level applies from the onset step until the LV rests.
-        a = decel if (k >= onset_step and v > 0.0) else 0.0
-        t = k * t_s
-        lv.append(TimedState(t, VehicleState(x_lv, v, a)))
-        fv.append(TimedState(t, VehicleState(x_fv, v_fv, 0.0)))
-        x_lv = step_position_ca(x_lv, v, a, t_s)
-        v = step_velocity_ca(v, a, t_s)
-        x_fv = step_position_cv(x_fv, v_fv, t_s)
-    return ScenarioTrace(trace_id, t_s, tuple(lv), tuple(fv))
-
-
 def save_csv(trace: ScenarioTrace, path: Path | str) -> None:
-    """Write a trace in the package CSV schema."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for lv_ts, fv_ts in trace.steps():
-            lv_s, fv_s = lv_ts.state, fv_ts.state
-            writer.writerow(
-                [repr(v) for v in (lv_ts.t, lv_s.x, lv_s.v, lv_s.a, fv_s.x, fv_s.v, fv_s.a)]
-            )
+    """Write a trace in the package CSV schema, CRLF line endings."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(",".join(map(repr, row)) for row in trace.data.tolist())
+    Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 
 def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
-    """Parse and validate one trace CSV; errors carry the offending row number."""
+    """Parse and validate one trace CSV; errors carry the offending row number.
+
+    Faults confined to one row (field count, non-numeric, non-finite or
+    negative speed) are reported for the first such row; faults of the
+    sequence (row count, time origin, sampling, initial gap) after them.
+    """
     path = Path(path)
     try:
         handle = path.open("r", encoding="utf-8", newline="")
@@ -225,47 +266,38 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
         extra = [name for name in header if name not in CSV_COLUMNS]
         if extra:
             raise TraceFormatError(f"{path}: unknown columns {extra}")
-        idx = {name: header.index(name) for name in CSV_COLUMNS}
+        if len(header) != len(CSV_COLUMNS):
+            raise TraceFormatError(f"{path}: repeated columns in header {header}")
+        order = [header.index(name) for name in CSV_COLUMNS]
 
-        rows = []
+        rows, row_nos, parse_error = [], [], None
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise TraceFormatError(f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}")
+                parse_error = f"row {row_no}: expected {len(header)} fields, got {len(row)}"
+                break
             try:
-                values = {name: float(row[idx[name]]) for name in CSV_COLUMNS}
+                rows.append([*map(float, row)])
             except ValueError as exc:
-                raise TraceFormatError(f"{path}: row {row_no}: non-numeric value ({exc})") from exc
-            for name, value in values.items():
-                if not math.isfinite(value):
-                    raise TraceFormatError(f"{path}: row {row_no}: non-finite {name}={value}")
-            for name in ("v_lv", "v_fv"):
-                if values[name] < 0.0:
-                    raise TraceFormatError(f"{path}: row {row_no}: negative speed {name}={values[name]}")
-            rows.append((row_no, values))
+                parse_error = f"row {row_no}: non-numeric value ({exc})"
+                break
+            row_nos.append(row_no)
 
-    if len(rows) < 2:
-        raise TraceFormatError(f"{path}: needs at least 2 data rows, got {len(rows)}")
-    if abs(rows[0][1]["t"]) > TIME_TOLERANCE:
-        raise TraceFormatError(f"{path}: row {rows[0][0]}: time origin must be 0, got {rows[0][1]['t']}")
-    t_s = rows[1][1]["t"] - rows[0][1]["t"]
-    if t_s <= 0.0:
-        raise TraceFormatError(f"{path}: row {rows[1][0]}: non-increasing timestamps")
-    for (prev_no, prev), (row_no, cur) in zip(rows, rows[1:]):
-        if abs(cur["t"] - prev["t"] - t_s) > TIME_TOLERANCE:
-            raise TraceFormatError(
-                f"{path}: row {row_no}: non-uniform sampling (dt={cur['t'] - prev['t']}, expected {t_s})"
-            )
-
-    lv = tuple(
-        TimedState(r["t"], VehicleState(r["x_lv"], r["v_lv"], r["a_lv"])) for _, r in rows
-    )
-    fv = tuple(
-        TimedState(r["t"], VehicleState(r["x_fv"], r["v_fv"], r["a_fv"])) for _, r in rows
-    )
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))[:, order]
+    fault = _bad_value(data)
+    if fault:
+        raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
+    if parse_error:
+        raise TraceFormatError(f"{path}: {parse_error}")
+    if len(data) < 2:
+        raise TraceFormatError(f"{path}: needs at least 2 data rows, got {len(data)}")
+    t_s = float(data[1, 0]) - float(data[0, 0])
+    fault = _bad_timing(data[:, 0], t_s)
+    if fault:
+        raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     try:
-        return ScenarioTrace(trace_id or path.stem, t_s, lv, fv)
+        return ScenarioTrace(trace_id or path.stem, t_s, data)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 

@@ -14,10 +14,10 @@ from fcwsim.camp_linear import CampParams, evaluate, warn_batch
 from fcwsim.channel import apply_mask
 from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from fcwsim.harness import RunConfig, SweepCell, derive_seed, run_cell, run_scenario, sweep, truth_decisions
-from fcwsim.kinematics import SampleClock, TimedState, VehicleState
+from fcwsim.kinematics import SampleClock, VehicleState
 from fcwsim.metrics import aggregate
-from fcwsim.scenarios import ScenarioTrace
 from test_acceptance import KALMAN_TUNINGS
+from tracebuild import trace_from_states
 
 CONFIGS = [
     (EstimatorKind.CONSTANT_VELOCITY, None),
@@ -48,11 +48,7 @@ def fleets(draw):
         lv = [draw(states) for _ in range(n)]
         fv = [draw(states) for _ in range(n)]
         fv[0] = VehicleState(lv[0].x - draw(st.floats(0.5, 100.0)), fv[0].v, fv[0].a)
-        fleet.append(ScenarioTrace(
-            f"s{i}", t_s,
-            tuple(TimedState(k * t_s, s) for k, s in enumerate(lv)),
-            tuple(TimedState(k * t_s, s) for k, s in enumerate(fv)),
-        ))
+        fleet.append(trace_from_states(f"s{i}", t_s, lv, fv))
     return fleet
 
 

@@ -17,7 +17,7 @@ def make_states(n, t_s=0.1):
 def test_zero_loss_delivers_everything():
     slots = transmit(make_states(20), ChannelConfig(per=0.0, seed=1))
     assert all(s.delivered for s in slots)
-    assert [s.bsm.seq for s in slots] == list(range(20))
+    assert [s.slot for s in slots] == list(range(20))
 
 
 def test_total_loss_keeps_only_first_slot():
@@ -103,6 +103,6 @@ def test_bsm_carries_input_timing():
     slots = transmit(states, ChannelConfig(per=0.0, seed=0))
     for i, slot in enumerate(slots):
         assert isinstance(slot.bsm, Bsm)
-        assert slot.bsm.seq == i
+        assert slot.slot == i
         assert slot.bsm.t == states[i].t
         assert slot.bsm.state == states[i].state

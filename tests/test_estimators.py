@@ -73,14 +73,6 @@ def test_ca_predict_stopping():
     assert got.a == -10.0
 
 
-def test_uninitialized_predict_rejected():
-    s = DeadReckonState(VehicleState(0.0, 0.0, 0.0), initialized=False)
-    with pytest.raises(ValueError):
-        cv_predict(s, 0.1)
-    with pytest.raises(ValueError):
-        ca_predict(s, 0.1)
-
-
 def test_kalman_predict_substitutions():
     s = KalmanState(np.array([2.0, 0.0]), np.zeros((2, 2)), 0.0)
     got = kalman_predict(s, 0.1, q=1.0)

@@ -16,8 +16,9 @@ from fcwsim.harness import (
     write_summary_csv,
     write_summary_json,
 )
-from fcwsim.kinematics import TimedState, VehicleState
-from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet
+from fcwsim.kinematics import VehicleState, step_position_cv
+from fcwsim.scenarios import GenConfig, generate_fleet, load_fleet, save_fleet
+from tracebuild import trace_from_states
 
 ALL_KINDS = tuple(EstimatorKind)
 
@@ -29,16 +30,14 @@ def fleet():
 
 def constant_velocity_trace(n=40, t_s=0.1):
     # built with the stepwise fold so dead reckoning can replay it exactly
-    from fcwsim.kinematics import step_position_cv
-
     lv, fv = [], []
     x_lv, x_fv = 30.0, 0.0
-    for k in range(n):
-        lv.append(TimedState(k * t_s, VehicleState(x_lv, 12.0, 0.0)))
-        fv.append(TimedState(k * t_s, VehicleState(x_fv, 15.0, 0.0)))
+    for _ in range(n):
+        lv.append(VehicleState(x_lv, 12.0, 0.0))
+        fv.append(VehicleState(x_fv, 15.0, 0.0))
         x_lv = step_position_cv(x_lv, 12.0, t_s)
         x_fv = step_position_cv(x_fv, 15.0, t_s)
-    return ScenarioTrace("cv-closing", t_s, tuple(lv), tuple(fv))
+    return trace_from_states("cv-closing", t_s, lv, fv)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -95,7 +94,7 @@ def test_truth_side_independent_of_estimator_and_per(fleet):
 def test_counts_conservation_per_cell(fleet):
     cfg = RunConfig(estimators=(EstimatorKind.CONSTANT_ACCELERATION,), pers=(0.3,), seeds=4)
     cell = run_cell(fleet, EstimatorKind.CONSTANT_ACCELERATION, 0.3, cfg)
-    assert cell.summary.n_scenarios == len(fleet) * cfg.seeds
+    assert cell.summary.n_runs == len(fleet) * cfg.seeds
     # every step of every run is classified exactly once
     for trace in fleet:
         for seed_index in range(cfg.seeds):
@@ -126,6 +125,13 @@ def test_sweep_input_validation(fleet):
     mixed = list(fleet) + [constant_velocity_trace(t_s=0.05)]
     with pytest.raises(ConfigError):
         sweep(mixed, RunConfig())
+
+
+def test_sweep_never_builds_per_step_states(tmp_path):
+    save_fleet(generate_fleet(GenConfig(n_scenarios=3, seed=4)), tmp_path)
+    fleet = load_fleet(tmp_path)
+    sweep(fleet, RunConfig(pers=(0.0, 0.5), seeds=2))
+    assert not any({"lv", "fv"} & vars(trace).keys() for trace in fleet)
 
 
 def test_duplicate_ids_are_config_errors(fleet):

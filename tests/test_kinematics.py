@@ -9,6 +9,7 @@ from fcwsim.kinematics import (
     SampleClock,
     TimedState,
     VehicleState,
+    step_ca_batch,
     step_position_ca,
     step_position_cv,
     step_velocity_ca,
@@ -60,6 +61,18 @@ def test_position_ca_matches_oracle_on_random_braking():
         assert step_position_ca(x0, v0, a, dt) == pytest.approx(
             integrate_clamped(x0, v0, a, dt), abs=1e-5
         )
+
+
+def test_batch_step_is_the_scalar_step_elementwise():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-50, 50, 400)
+    v = np.concatenate([rng.uniform(0, 30, 300), np.zeros(50), rng.uniform(0, 0.01, 50)])
+    a = np.concatenate([rng.uniform(-10, 3, 350), np.zeros(25), np.full(25, -0.0)])
+    for dt in (0.1, 0.05, 1.7):
+        bx, bv = step_ca_batch(x, v, a, dt)
+        for i in range(len(x)):
+            args = float(x[i]), float(v[i]), float(a[i]), dt
+            assert (bx[i].hex(), bv[i].hex()) == (step_position_ca(*args).hex(), step_velocity_ca(*args[1:]).hex())
 
 
 def test_non_finite_inputs_rejected():

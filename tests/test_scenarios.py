@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcwsim.errors import ConfigError, TraceFormatError
-from fcwsim.kinematics import TimedState, VehicleState, step_position_ca, step_position_cv, step_velocity_ca
+from fcwsim.kinematics import step_position_ca, step_position_cv, step_velocity_ca
 from fcwsim.scenarios import (
     GenConfig,
     ScenarioTrace,
@@ -114,21 +117,50 @@ def test_gen_config_validation():
 
 
 def test_trace_invariant_validation():
-    lv = (TimedState(0.0, VehicleState(10.0, 5.0, 0.0)), TimedState(0.1, VehicleState(10.5, 5.0, 0.0)))
-    fv = (TimedState(0.0, VehicleState(0.0, 5.0, 0.0)), TimedState(0.1, VehicleState(0.5, 5.0, 0.0)))
-    ScenarioTrace("ok", 0.1, lv, fv)
-    with pytest.raises(ValueError):
-        ScenarioTrace("short", 0.1, lv[:1], fv[:1])
-    with pytest.raises(ValueError):
-        ScenarioTrace("mismatch", 0.1, lv, fv[:1])
-    with pytest.raises(ValueError):
-        ScenarioTrace("gap", 0.1, fv, lv)  # LV behind FV
-    bad_t = (lv[0], TimedState(0.3, VehicleState(10.5, 5.0, 0.0)))
-    with pytest.raises(ValueError):
-        ScenarioTrace("jump", 0.1, bad_t, fv)
-    late = tuple(TimedState(ts.t + 1.0, ts.state) for ts in lv)
-    with pytest.raises(ValueError):
-        ScenarioTrace("origin", 0.1, late, late)
+    ok = np.array([[0.0, 10.0, 5.0, 0.0, 0.0, 5.0, 0.0], [0.1, 10.5, 5.0, 0.0, 0.5, 5.0, 0.0]])
+    ScenarioTrace("ok", 0.1, ok)
+    cases = [
+        ("short", ok[:1], "at least 2 steps"),
+        ("gap", ok[:, [0, 4, 5, 6, 1, 2, 3]], "initial gap"),  # LV behind FV
+        ("jump", with_value(ok, 1, 0, 0.3), "step 1: non-uniform sampling"),
+        ("origin", with_value(ok, 0, 0, 1.0), "step 0: time origin"),
+        ("nan", with_value(ok, 1, 6, np.nan), "step 1: non-finite a_fv=nan"),
+        ("reverse", with_value(ok, 1, 2, -0.5), "step 1: negative speed v_lv=-0.5"),
+        ("columns", ok[:, :6], "shape"),
+    ]
+    for trace_id, data, fragment in cases:
+        with pytest.raises(ValueError, match=f"trace {trace_id}: .*{fragment}"):
+            ScenarioTrace(trace_id, 0.1, data)
+    with pytest.raises(ValueError, match="sample period"):
+        ScenarioTrace("period", 0.0, ok)
+
+
+def with_value(data, k, j, value):
+    data = data.copy()
+    data[k, j] = value
+    return data
+
+
+def test_trace_data_is_a_read_only_copy():
+    data = np.array([[0.0, 10.0, 5.0, 0.0, 0.0, 5.0, 0.0], [0.1, 10.5, 5.0, 0.0, 0.5, 5.0, 0.0]])
+    trace = ScenarioTrace("ro", 0.1, data)
+    data[1, 1] = 99.0
+    assert trace.data[1, 1] == 10.5
+    with pytest.raises(ValueError, match="read-only"):
+        trace.data[1, 1] = 99.0
+    assert trace == ScenarioTrace("ro", 0.1, trace.data)
+    assert trace != ScenarioTrace("other", 0.1, trace.data)
+    with pytest.raises(TypeError):
+        hash(trace)
+
+
+def test_state_views_match_the_array():
+    trace = generate_fleet(GenConfig(n_scenarios=1, seed=8))[0]
+    for k, (lv, fv) in enumerate(trace.steps()):
+        row = trace.data[k].tolist()
+        assert (lv.t, lv.state.x, lv.state.v, lv.state.a) == tuple(row[:4])
+        assert (fv.t, fv.state.x, fv.state.v, fv.state.a) == (row[0], *row[4:])
+        assert type(lv.state.x) is float
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -170,6 +202,96 @@ def test_load_csv_row_errors(tmp_path, rows, fragment):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows,fragment",
+    [
+        ("0.0,20,10,0,0,8,0\n0.1,nan,10,0,0.8,8,0\n0.2,abc,10,0,1.6,8,0\n", "row 3: non-finite x_lv=nan"),
+        ("0.0,20,10,0,0,8,0\n0.1,abc,10,0,0.8,8,0\n0.2,nan,10,0,1.6,8,0\n", "row 3: non-numeric"),
+        ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,-8,0\n0.2,22,10\n", "row 3: negative speed v_fv=-8.0"),
+        ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,8\n0.2,22,-1,0,1.6,8,0\n", "row 3: expected 7 fields, got 6"),
+        ("0.0,20,10,0,0,8,inf\n0.1,21,-10,0,0.8,8,0\n", "row 2: non-finite a_fv=inf"),
+        ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n0.3,22,10,0,1.6,8,0\n0.5,23,10,0,2.4,8,0\n",
+         r"row 4: non-uniform sampling \(dt=0.19999999999999998, expected 0.1\)"),
+        ("0.0,20,10,0,0,8,0\n0.0,21,10,0,0.8,8,0\n0.3,22,10,0,1.6,8,0\n", "row 3: non-increasing"),
+        ("0.5,20,10,0,0,8,0\n0.0,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got 0.5"),
+        ("-1e308,20,10,0,0,8,0\n1e308,21,10,0,0.8,8,0\n", "row 2: time origin"),
+        ("-1e-10,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got -1e-10"),
+        ("0.0,20,10,0,0,8,0\n1e308,21,10,0,0.8,8,0\n-1e308,22,10,0,1.6,8,0\n", r"row 4: non-uniform sampling \(dt=-inf"),
+        ("0.0,0,10,0,0,8,0\n0.1,1,10,0,0.8,8,0\n", "trace bad: initial gap"),
+    ],
+)
+def test_load_csv_reports_the_first_bad_row(tmp_path, rows, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n" + rows)
+    with pytest.raises(TraceFormatError, match=fragment):
+        load_csv(path)
+
+
+def test_blank_lines_are_skipped_but_shift_row_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(
+        "t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n"
+        "0.0,20,10,0,0,8,0\n"
+        "\n"
+        "0.1,21,10,0,0.8,8,0\n"
+        "0.2,22,-1,0,1.6,8,0\n"
+    )
+    with pytest.raises(TraceFormatError, match="row 5: negative speed v_lv=-1.0"):
+        load_csv(path)
+    path.write_text(path.read_text().replace("-1", "10"))
+    assert len(load_csv(path)) == 3
+
+
+def test_header_columns_may_be_reordered_and_padded(tmp_path):
+    path = tmp_path / "reordered.csv"
+    path.write_text(
+        " a_fv, v_fv ,x_fv,t,  a_lv,v_lv,x_lv\n"
+        "0, 8, 0,0.0,0,10,20\n"
+        "0,8,0.8,0.1,-2, 10,21\n"
+    )
+    trace = load_csv(path)
+    assert trace.data.tolist() == [[0.0, 20.0, 10.0, 0.0, 0.0, 8.0, 0.0], [0.1, 21.0, 10.0, -2.0, 0.8, 8.0, 0.0]]
+
+
+def test_load_csv_accepts_python_float_syntax(tmp_path):
+    path = tmp_path / "syntax.csv"
+    path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n0,1_000, 1.5,-0,0,8,0\n0.1,1_001,1.5,0,0.8,8,0\n")
+    assert load_csv(path).data[0].tolist() == [0.0, 1000.0, 1.5, -0.0, 0.0, 8.0, 0.0]
+    path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n0,20,10,0,0,8,0\n0.1,21,Infinity,0,0.8,8,0\n")
+    with pytest.raises(TraceFormatError, match="row 3: non-finite v_lv=inf"):
+        load_csv(path)
+
+
+finite_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def random_traces(draw):
+    """Finite traces on an exact 2**-3 s grid with arbitrary other values, speeds made non-negative."""
+    n = draw(st.integers(2, 8))
+    rows = [[k * 0.125] + [draw(finite_values) for _ in range(6)] for k in range(n)]
+    for row in rows:
+        for j in (2, 5):
+            if row[j] < 0.0:
+                row[j] = -row[j]
+    if not rows[0][1] - rows[0][4] > 0.0:
+        rows[0][1], rows[0][4] = 1.0, 0.0
+    return ScenarioTrace("r", 0.125, np.array(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=random_traces())
+def test_save_load_round_trip_is_bitwise(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("round") / "r.csv"
+    save_csv(trace, path)
+    loaded = load_csv(path)
+    assert loaded.id == trace.id and loaded.t_s == trace.t_s
+    assert loaded.data.tobytes() == trace.data.tobytes()
+
+
 def test_load_csv_header_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv\n0,20,10,0,0,8\n")
@@ -177,6 +299,9 @@ def test_load_csv_header_errors(tmp_path):
         load_csv(path)
     path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv,extra\n0,20,10,0,0,8,0,1\n")
     with pytest.raises(TraceFormatError, match="unknown columns"):
+        load_csv(path)
+    path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv,t\n0,20,10,0,0,8,0,5\n0.1,21,10,0,0.8,8,0,5\n")
+    with pytest.raises(TraceFormatError, match="repeated columns"):
         load_csv(path)
     with pytest.raises(TraceFormatError, match="cannot open"):
         load_csv(tmp_path / "missing.csv")
