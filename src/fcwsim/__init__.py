@@ -6,87 +6,4 @@ constant-acceleration, and Kalman reconstruction of the leading vehicle's
 state across a packet-error-ratio sweep.
 """
 
-from .camp_linear import BorCase, CampParams, WarningDecision, evaluate, warning_range
-from .channel import Bsm, ChannelConfig, ReceivedSlot, apply_mask, mask_line, transmit
-from .errors import ConfigError, TraceFormatError
-from .estimators import (
-    DeadReckonState,
-    EstimatorKind,
-    KalmanConfig,
-    KalmanState,
-    estimate_stream,
-)
-from .harness import (
-    RunConfig,
-    StepRecord,
-    SweepCell,
-    derive_seed,
-    run_scenario,
-    sweep,
-    truth_decisions,
-    write_step_log,
-    write_summary_csv,
-    write_summary_json,
-)
-from .kinematics import (
-    SampleClock,
-    TimedState,
-    VehicleState,
-    step_position_ca,
-    step_position_cv,
-    step_velocity_ca,
-)
-from .metrics import ConfusionCounts, MetricSummary, accuracy, aggregate, classify_step, true_positive
-from .scenarios import GenConfig, ScenarioTrace, generate_fleet, load_csv, load_fleet, save_csv, save_fleet
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BorCase",
-    "Bsm",
-    "CampParams",
-    "ChannelConfig",
-    "ConfigError",
-    "ConfusionCounts",
-    "DeadReckonState",
-    "EstimatorKind",
-    "GenConfig",
-    "KalmanConfig",
-    "KalmanState",
-    "MetricSummary",
-    "ReceivedSlot",
-    "RunConfig",
-    "SampleClock",
-    "ScenarioTrace",
-    "StepRecord",
-    "SweepCell",
-    "TimedState",
-    "TraceFormatError",
-    "VehicleState",
-    "WarningDecision",
-    "accuracy",
-    "aggregate",
-    "apply_mask",
-    "classify_step",
-    "derive_seed",
-    "estimate_stream",
-    "evaluate",
-    "generate_fleet",
-    "load_csv",
-    "load_fleet",
-    "mask_line",
-    "run_scenario",
-    "save_csv",
-    "save_fleet",
-    "step_position_ca",
-    "step_position_cv",
-    "step_velocity_ca",
-    "sweep",
-    "transmit",
-    "true_positive",
-    "truth_decisions",
-    "warning_range",
-    "write_step_log",
-    "write_summary_csv",
-    "write_summary_json",
-]

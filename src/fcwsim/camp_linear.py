@@ -24,6 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .errors import ConfigError
 from .kinematics import VehicleState
 
 
@@ -45,13 +46,13 @@ class CampParams:
 
     def __post_init__(self):
         if not (self.t_d > 0.0 and math.isfinite(self.t_d)):
-            raise ValueError(f"reaction time must be > 0: {self.t_d}")
+            raise ConfigError(f"reaction time must be > 0: {self.t_d}")
         if not (self.eps_v > 0.0 and math.isfinite(self.eps_v)):
-            raise ValueError(f"stationary threshold must be > 0: {self.eps_v}")
+            raise ConfigError(f"stationary threshold must be > 0: {self.eps_v}")
         if not (self.min_decel > 0.0 and math.isfinite(self.min_decel)):
-            raise ValueError(f"deceleration floor must be > 0: {self.min_decel}")
+            raise ConfigError(f"deceleration floor must be > 0: {self.min_decel}")
         if not math.isfinite(self.length_offset):
-            raise ValueError(f"non-finite length offset: {self.length_offset}")
+            raise ConfigError(f"non-finite length offset: {self.length_offset}")
 
 
 class BorCase(IntEnum):

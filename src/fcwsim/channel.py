@@ -23,14 +23,6 @@ from .kinematics import TimedState, VehicleState
 
 
 @dataclass(frozen=True)
-class Bsm:
-    """One broadcast safety message: send time and sender state."""
-
-    t: float
-    state: VehicleState
-
-
-@dataclass(frozen=True)
 class ChannelConfig:
     per: float = 0.0
     seed: int = 0
@@ -42,14 +34,14 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ReceivedSlot:
-    """Outcome of one transmission step: the BSM, or None if it was dropped."""
+    """Outcome of one transmission step: the sender state, or None if dropped."""
 
     slot: int
-    bsm: Optional[Bsm]
+    state: Optional[VehicleState]
 
     @property
     def delivered(self) -> bool:
-        return self.bsm is not None
+        return self.state is not None
 
 
 def transmit(states: Sequence[TimedState], cfg: ChannelConfig) -> list[ReceivedSlot]:
@@ -61,11 +53,7 @@ def transmit(states: Sequence[TimedState], cfg: ChannelConfig) -> list[ReceivedS
     """
     if not states:
         raise ValueError("transmit requires a non-empty state sequence")
-    delivered = delivery_mask(len(states), cfg.per, cfg.seed)
-    return [
-        ReceivedSlot(i, Bsm(ts.t, ts.state) if keep else None)
-        for i, (ts, keep) in enumerate(zip(states, delivered))
-    ]
+    return apply_mask(states, delivery_mask(len(states), cfg.per, cfg.seed))
 
 
 def delivery_mask(n_slots: int, per: float, seed: int) -> np.ndarray:
@@ -81,20 +69,16 @@ def delivery_mask(n_slots: int, per: float, seed: int) -> np.ndarray:
 
 
 def apply_mask(states: Sequence[TimedState], mask: Sequence[bool]) -> list[ReceivedSlot]:
-    """Apply an explicit delivery mask (True = delivered) to a state sequence.
+    """Apply a delivery mask (True = delivered) to a state sequence.
 
-    For deterministic loss patterns in tests; mask[0] must be True.
+    `transmit` passes a drawn mask; tests pass explicit ones. mask[0] must
+    be True.
     """
     if len(mask) != len(states):
         raise ValueError(f"mask length {len(mask)} != state count {len(states)}")
     if len(mask) > 0 and not mask[0]:
         raise ValueError("slot 0 must be delivered")
     return [
-        ReceivedSlot(i, Bsm(ts.t, ts.state) if keep else None)
+        ReceivedSlot(i, ts.state if keep else None)
         for i, (ts, keep) in enumerate(zip(states, mask))
     ]
-
-
-def mask_line(slots: Sequence[ReceivedSlot]) -> str:
-    """Render a slot sequence as a debug string: '1' delivered, '0' dropped."""
-    return "".join("1" if s.delivered else "0" for s in slots)

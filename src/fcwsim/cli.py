@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 input parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def parse_per_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"non-numeric PER grid {text!r}") from exc
-        if step <= 0.0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
             raise ConfigError(f"invalid PER grid {text!r}")
         count = int(round((stop - start) / step))
         values = tuple(round(start + i * step, 10) for i in range(count + 1))
@@ -97,7 +98,7 @@ def _kalman_from(args) -> KalmanConfig:
 def _period_from(args) -> float | None:
     if args.rate is None:
         return None
-    if args.rate <= 0:
+    if not args.rate > 0:  # also rejects nan
         raise ConfigError(f"rate must be positive: {args.rate}")
     return 1.0 / args.rate
 

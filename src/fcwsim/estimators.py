@@ -51,13 +51,6 @@ class EstimatorKind(Enum):
 
 
 @dataclass(frozen=True)
-class DeadReckonState:
-    """Dead-reckoning estimator state: the current estimate."""
-
-    est: VehicleState
-
-
-@dataclass(frozen=True)
 class KalmanConfig:
     """Filter tuning: process-noise intensity q ((m/s^2)^2), measurement
     variance r (m^2), initial covariance scale p0. Defaults are tuning
@@ -85,21 +78,17 @@ class KalmanState:
     held_input: float
 
 
-def cv_predict(s: DeadReckonState, dt: float) -> DeadReckonState:
+def cv_predict(est: VehicleState, dt: float) -> VehicleState:
     """Constant-velocity coast: advance x, hold v, report a = 0."""
-    est = s.est
-    return DeadReckonState(VehicleState(step_position_cv(est.x, est.v, dt), est.v, 0.0))
+    return VehicleState(step_position_cv(est.x, est.v, dt), est.v, 0.0)
 
 
-def ca_predict(s: DeadReckonState, dt: float) -> DeadReckonState:
+def ca_predict(est: VehicleState, dt: float) -> VehicleState:
     """Constant-acceleration coast: advance x and v with held a."""
-    est = s.est
-    return DeadReckonState(
-        VehicleState(
-            step_position_ca(est.x, est.v, est.a, dt),
-            step_velocity_ca(est.v, est.a, dt),
-            est.a,
-        )
+    return VehicleState(
+        step_position_ca(est.x, est.v, est.a, dt),
+        step_velocity_ca(est.v, est.a, dt),
+        est.a,
     )
 
 
@@ -167,21 +156,21 @@ def estimate_stream(
         return _kalman_stream(slots, dt, kcfg or KalmanConfig())
 
     predict = cv_predict if kind is EstimatorKind.CONSTANT_VELOCITY else ca_predict
-    s = DeadReckonState(slots[0].bsm.state)
-    estimates = [s.est]
+    est = slots[0].state
+    estimates = [est]
     for slot in slots[1:]:
-        s = DeadReckonState(slot.bsm.state) if slot.delivered else predict(s, dt)
-        estimates.append(s.est)
+        est = slot.state if slot.delivered else predict(est, dt)
+        estimates.append(est)
     return estimates
 
 
 def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig) -> list[VehicleState]:
-    s = kalman_init(slots[0].bsm.state, kcfg)
+    s = kalman_init(slots[0].state, kcfg)
     estimates = [kalman_emit(s)]
     for slot in slots[1:]:
         s = kalman_predict(s, dt, kcfg.q)
         if slot.delivered:
-            received = slot.bsm.state
+            received = slot.state
             s = kalman_correct(s, received.x, kcfg.r)
             # The newly received acceleration drives predictions from here on.
             s = KalmanState(s.mean, s.cov, received.a)

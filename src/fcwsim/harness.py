@@ -32,7 +32,7 @@ from .channel import ChannelConfig, delivery_mask, transmit
 from .errors import ConfigError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
-from .metrics import ConfusionCounts, MetricSummary, aggregate
+from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
 from .scenarios import ScenarioTrace
 
 SEED_DOMAIN = "fcwsim:v1"
@@ -117,39 +117,24 @@ def run_scenario(
     seed: int,
     camp: CampParams = CampParams(),
     kalman: KalmanConfig = KalmanConfig(),
-    truth: Optional[Sequence[WarningDecision]] = None,
 ) -> tuple[list[StepRecord], ConfusionCounts]:
-    """Run one scenario through the full pipeline; deterministic in all inputs.
-
-    `truth` may carry precomputed truth decisions for the trace; otherwise
-    they are evaluated here.
-    """
+    """Run one scenario through the full pipeline; deterministic in all inputs."""
     slots = transmit(trace.lv, ChannelConfig(per=per, seed=seed))
     estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
-    if truth is None:
-        truth = truth_decisions(trace, camp)
+    truth = truth_decisions(trace, camp)
 
     offset = camp.length_offset
     log = []
-    ch = cs = is_ = ih = 0
+    counts = ConfusionCounts()
     for k, (lv_ts, fv_ts) in enumerate(trace.steps()):
         est_state = estimates[k]
         est_gap = est_state.x - fv_ts.state.x - offset
         est_decision = evaluate(est_gap, fv_ts.state, est_state, camp)
-        truth_decision = truth[k]
-        if truth_decision.warn:
-            if est_decision.warn:
-                ch += 1
-            else:
-                is_ += 1
-        elif est_decision.warn:
-            ih += 1
-        else:
-            cs += 1
+        counts = classify_step(truth[k].warn, est_decision.warn, counts)
         log.append(
-            StepRecord(k, lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth_decision, est_decision)
+            StepRecord(k, lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth[k], est_decision)
         )
-    return log, ConfusionCounts(ch=ch, cs=cs, is_=is_, ih=ih)
+    return log, counts
 
 
 def run_cell(
@@ -170,9 +155,6 @@ def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
     estimator steps all of its (PER, scenario, seed) runs through time
     together, and every estimator reads the same loss masks.
     """
-    if not fleet:
-        raise ConfigError("sweep requires a non-empty fleet")
-    _check_clock(fleet, cfg)
     batch = _Batch(fleet, cfg.pers, cfg)
     return [cell for kind in cfg.estimators for cell in batch.cells(kind)]
 
@@ -180,22 +162,24 @@ def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
 class _Batch:
     """All (PER, scenario, seed) runs of a sweep, as arrays.
 
-    Runs are grouped by trace length and sample period; a group's runs
-    have shape (PER, scenario, seed) and its per-scenario arrays are
-    shaped (steps, 1, scenario, 1) so step k broadcasts over the runs.
+    The fleet must pass `_check_fleet`, so all traces share one sample
+    period. Runs are grouped by trace length; a group's runs have shape
+    (PER, scenario, seed) and its per-scenario arrays are shaped
+    (steps, 1, scenario, 1) so step k broadcasts over the runs.
     The loss masks are drawn once here and shared by every estimator.
     Truth warnings come from `truth` ({id: decisions}) when given, else
     from the same batched warning evaluation on the exact LV states.
     """
 
     def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
-        _check_ids(fleet)
+        _check_fleet(fleet, cfg)
         self.fleet, self.pers, self.cfg = fleet, pers, cfg
-        groups: dict[tuple[int, float], list[int]] = {}
+        self.t_s = fleet[0].t_s
+        groups: dict[int, list[int]] = {}
         for i, trace in enumerate(fleet):
-            groups.setdefault((len(trace), trace.t_s), []).append(i)
+            groups.setdefault(len(trace), []).append(i)
         self.groups = []
-        for (n_steps, t_s), members in groups.items():
+        for n_steps, members in groups.items():
             traces = [fleet[i] for i in members]
             data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
             lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
@@ -210,16 +194,16 @@ class _Batch:
                     for j in range(cfg.seeds):
                         seed = derive_seed(cfg.master_seed, t.id, per, j)
                         delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
-            self.groups.append((members, t_s, lv, fv, truth_warn, delivered))
+            self.groups.append((members, lv, fv, truth_warn, delivered))
 
     def cells(self, kind: EstimatorKind) -> list[SweepCell]:
         """One cell per PER for `kind`; runs are aggregated in (scenario, seed) order."""
         cfg = self.cfg
         counts = np.zeros((len(self.pers), len(self.fleet), cfg.seeds, 4), dtype=np.int64)
-        for members, t_s, lv, fv, truth_warn, delivered in self.groups:
+        for members, lv, fv, truth_warn, delivered in self.groups:
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
-            estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
+            estimates = estimate_batch(*lv, delivered, kind, self.t_s, cfg.kalman)
             for k, (x, v, a) in enumerate(estimates):
                 gap = x - fv[0][k] - cfg.camp.length_offset
                 warn = warn_batch(gap, fv[1][k], fv[2][k], v, a, cfg.camp)
@@ -239,15 +223,16 @@ class _Batch:
         ]
 
 
-def _check_ids(fleet: Sequence[ScenarioTrace]) -> None:
+def _check_fleet(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> None:
+    """Reject a fleet that is empty, repeats an id or mixes sample periods, or
+    whose period differs from the configured one."""
+    if not fleet:
+        raise ConfigError("sweep requires a non-empty fleet")
     seen = set()
     for trace in fleet:
         if trace.id in seen:
             raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
         seen.add(trace.id)
-
-
-def _check_clock(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> None:
     periods = {trace.t_s for trace in fleet}
     if len(periods) > 1:
         raise ConfigError(f"fleet mixes sample periods: {sorted(periods)}")

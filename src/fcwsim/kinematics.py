@@ -52,13 +52,10 @@ class SampleClock:
     """Fixed-rate sampling clock; default 10 Hz (0.1 s period)."""
 
     t_s: float = 0.1
-    step_index: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.t_s) or self.t_s <= 0.0:
             raise ValueError(f"sample period must be positive: t_s={self.t_s}")
-        if self.step_index < 0:
-            raise ValueError(f"negative step index: {self.step_index}")
 
 
 def _check_finite(**values: float) -> None:

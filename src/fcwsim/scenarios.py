@@ -143,8 +143,10 @@ class GenConfig:
     def __post_init__(self):
         if self.n_scenarios < 1:
             raise ConfigError(f"need at least one scenario: {self.n_scenarios}")
-        if self.duration <= 0.0 or self.t_s <= 0.0:
-            raise ConfigError(f"duration and sample period must be positive: {self.duration}, {self.t_s}")
+        if self.seed < 0:
+            raise ConfigError(f"generator seed must be >= 0: {self.seed}")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.t_s < math.inf):
+            raise ConfigError(f"duration and sample period must be positive and finite: {self.duration}, {self.t_s}")
         if self.duration < 2 * self.t_s:
             raise ConfigError(f"duration {self.duration} too short for two samples at t_s={self.t_s}")
         for name, (lo, hi) in (

@@ -125,10 +125,10 @@ def test_criterion_2_equation_unit_suite():
     for got, want in zip([e.x for e in cv_est], [0.0, 1.0, 2.0]):
         close(got, want)
     assert [e.a for e in cv_est] == [-2.0, 0.0, 0.0]
-    from fcwsim.estimators import DeadReckonState, ca_predict, cv_predict
+    from fcwsim.estimators import ca_predict, cv_predict
 
-    close(cv_predict(DeadReckonState(VehicleState(12.0, 20.0, -3.0)), 0.1).est.x, 14.0)
-    got = ca_predict(DeadReckonState(VehicleState(0.0, 10.0, -2.0)), 0.1).est
+    close(cv_predict(VehicleState(12.0, 20.0, -3.0), 0.1).x, 14.0)
+    got = ca_predict(VehicleState(0.0, 10.0, -2.0), 0.1)
     close(got.x, 0.99)
     close(got.v, 9.8)
 

@@ -28,7 +28,7 @@ def test_parse_per_grid_list_form():
 
 
 def test_parse_per_grid_errors():
-    for bad in ("0.1:0.9", "0.9:0.1:0.1", "0.1:0.9:0", "a,b"):
+    for bad in ("0.1:0.9", "0.9:0.1:0.1", "0.1:0.9:0", "a,b", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
         with pytest.raises(ConfigError):
             parse_per_grid(bad)
 
@@ -80,6 +80,11 @@ def test_run_config_errors(tmp_path, fleet_dir):
         "run", "--fleet", str(fleet_dir), "--scenario", "s0000",
         "--estimator", "cv", "--per", "1.5", "--out", out,
     ]) == 2
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep")]
+    for bad in (["--td", "-1"], ["--eps-v", "0"], ["--min-decel", "nan"],
+                ["--length-offset", "inf"], ["--rate", "nan"]):
+        assert main(base + ["--scenario", "s0000", "--estimator", "cv"] + bad) == 2
+        assert main(sweep + bad) == 2
 
 
 def test_missing_fleet_is_parse_error(tmp_path):
@@ -140,3 +145,5 @@ def test_gen_rejects_bad_config(tmp_path):
     assert main(["gen", "--n", "2", "--decel=-2:3", "--out", str(tmp_path / "f")]) == 2
     # leading-dash range without '=' is an argparse-level error, still exit 2
     assert main(["gen", "--n", "2", "--decel", "-2:3", "--out", str(tmp_path / "f")]) == 2
+    for bad in (["--duration", "nan"], ["--duration", "inf"], ["--seed", "-1"]):
+        assert main(["gen", "--n", "2", *bad, "--out", str(tmp_path / "f")]) == 2

@@ -8,7 +8,6 @@ import pytest
 from fcwsim.channel import ReceivedSlot, apply_mask
 from fcwsim.errors import ConfigError
 from fcwsim.estimators import (
-    DeadReckonState,
     EstimatorKind,
     KalmanConfig,
     KalmanState,
@@ -46,19 +45,15 @@ def fold_trace(x0, v0, segments, t_s=0.1):
 
 
 def test_cv_predict_substitutions():
-    s = DeadReckonState(VehicleState(0.0, 0.0, 0.0))
-    assert cv_predict(s, 0.1).est == VehicleState(0.0, 0.0, 0.0)
-    s = DeadReckonState(VehicleState(12.0, 20.0, -3.0))
-    assert cv_predict(s, 0.1).est == VehicleState(14.0, 20.0, 0.0)
-    s = DeadReckonState(VehicleState(0.0, 5.0, 0.0))
-    assert cv_predict(cv_predict(s, 0.1), 0.1).est.x == pytest.approx(1.0, rel=1e-12)
+    assert cv_predict(VehicleState(0.0, 0.0, 0.0), 0.1) == VehicleState(0.0, 0.0, 0.0)
+    assert cv_predict(VehicleState(12.0, 20.0, -3.0), 0.1) == VehicleState(14.0, 20.0, 0.0)
+    s = VehicleState(0.0, 5.0, 0.0)
+    assert cv_predict(cv_predict(s, 0.1), 0.1).x == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ca_predict_substitutions():
-    s = DeadReckonState(VehicleState(0.0, 10.0, 0.0))
-    assert ca_predict(s, 0.1).est == VehicleState(1.0, 10.0, 0.0)
-    s = DeadReckonState(VehicleState(0.0, 10.0, -2.0))
-    got = ca_predict(s, 0.1).est
+    assert ca_predict(VehicleState(0.0, 10.0, 0.0), 0.1) == VehicleState(1.0, 10.0, 0.0)
+    got = ca_predict(VehicleState(0.0, 10.0, -2.0), 0.1)
     assert got.x == pytest.approx(0.99, rel=1e-9)
     assert got.v == pytest.approx(9.8, rel=1e-9)
     assert got.a == -2.0
@@ -66,8 +61,7 @@ def test_ca_predict_substitutions():
 
 def test_ca_predict_stopping():
     # stops at t* = 0.01 s: x = 0.1*0.01 - 5*0.0001 = 0.0005
-    s = DeadReckonState(VehicleState(0.0, 0.1, -10.0))
-    got = ca_predict(s, 0.1).est
+    got = ca_predict(VehicleState(0.0, 0.1, -10.0), 0.1)
     assert got.x == pytest.approx(0.0005, rel=1e-9)
     assert got.v == 0.0
     assert got.a == -10.0

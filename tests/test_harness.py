@@ -118,13 +118,13 @@ def test_sweep_zero_loss_is_perfect(fleet):
 
 
 def test_sweep_input_validation(fleet):
-    with pytest.raises(ConfigError):
-        sweep([], RunConfig())
-    with pytest.raises(ConfigError):
-        sweep(fleet, RunConfig(t_s=0.2))  # fleet runs at 0.1 s
     mixed = list(fleet) + [constant_velocity_trace(t_s=0.05)]
-    with pytest.raises(ConfigError):
-        sweep(mixed, RunConfig())
+    # empty, a period other than the fleet's 0.1 s, and two periods in one fleet
+    for bad_fleet, cfg in (([], RunConfig()), (fleet, RunConfig(t_s=0.2)), (mixed, RunConfig())):
+        with pytest.raises(ConfigError):
+            sweep(bad_fleet, cfg)
+        with pytest.raises(ConfigError):
+            run_cell(bad_fleet, EstimatorKind.CONSTANT_VELOCITY, 0.5, cfg)
 
 
 def test_sweep_never_builds_per_step_states(tmp_path):

@@ -155,5 +155,3 @@ def test_timed_state_and_clock_validation():
     assert SampleClock().t_s == 0.1
     with pytest.raises(ValueError):
         SampleClock(t_s=0.0)
-    with pytest.raises(ValueError):
-        SampleClock(t_s=0.1, step_index=-1)

@@ -1,5 +1,7 @@
 """Confusion counting and TP/accuracy ratios against brute-force recounts."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ def test_aggregate_means_and_exclusions():
     assert mixed.n_undefined_tp == 1
     assert mixed.n_undefined_accuracy == 0
     assert mixed.mean_accuracy == pytest.approx((0.9 + 1.0) / 2, rel=1e-9)
+
+
+def test_aggregate_spreads_are_population_std_over_defined_ratios():
+    # TP is defined on the first two runs only (0.9, 0.5); accuracy on all three
+    s = aggregate([ConfusionCounts(ch=9, is_=1), ConfusionCounts(ch=1, is_=1, cs=2), ConfusionCounts(cs=10)])
+    assert s.tp_std == pytest.approx(0.2, rel=1e-12)
+    assert s.accuracy_std == pytest.approx(statistics.pstdev([0.9, 0.75, 1.0]), rel=1e-12)
+    assert aggregate([ConfusionCounts(ch=3, ih=1)]).tp_std == 0.0
+
+    undefined = aggregate([ConfusionCounts(cs=5), ConfusionCounts()])
+    assert undefined.tp_std is None
+    assert undefined.accuracy_std == 0.0
+    assert aggregate([ConfusionCounts()]).accuracy_std is None
 
 
 def test_aggregate_requires_input():
