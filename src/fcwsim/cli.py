@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
+
+# numpy's OpenBLAS starts a thread per core at import; the only BLAS calls here are 2x2 products it never splits.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .camp_linear import CampParams
 from .errors import ConfigError, TraceFormatError
@@ -27,7 +31,7 @@ from .harness import (
     write_summary_csv,
     write_summary_json,
 )
-from .scenarios import GenConfig, generate_fleet, load_fleet, save_fleet
+from .scenarios import GenConfig, generate_fleet, load_fleet, load_scenario, save_fleet
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -163,11 +167,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    fleet = load_fleet(args.fleet)
-    by_id = {trace.id: trace for trace in fleet}
-    if args.scenario not in by_id:
-        raise ConfigError(f"scenario {args.scenario!r} not in fleet (ids: {sorted(by_id)[:5]}...)")
-    trace = by_id[args.scenario]
+    trace = load_scenario(args.fleet, args.scenario)
     period = _period_from(args)
     if period is not None and abs(period - trace.t_s) > 1e-9:
         raise ConfigError(f"--rate {args.rate} Hz != fleet period {trace.t_s} s")

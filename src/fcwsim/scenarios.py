@@ -320,13 +320,33 @@ def save_fleet(traces: Sequence[ScenarioTrace], out_dir: Path | str) -> Path:
 
 
 def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
-    """Load every scenario listed in a fleet directory's manifest.
+    """Load every scenario listed in a fleet directory's manifest, in manifest order.
+
+    The whole manifest is checked before any CSV is parsed.
+    """
+    manifest_path, t_s, files = _read_manifest(Path(fleet_dir))
+    return [_load_entry(manifest_path, t_s, scenario_id, path) for scenario_id, path in files.items()]
+
+
+def load_scenario(fleet_dir: Path | str, scenario_id: str) -> ScenarioTrace:
+    """Load one scenario of a fleet directory, after checking the whole manifest.
+
+    Only that scenario's CSV is parsed; an id the manifest does not list
+    is a ConfigError.
+    """
+    manifest_path, t_s, files = _read_manifest(Path(fleet_dir))
+    if scenario_id not in files:
+        raise ConfigError(f"scenario {scenario_id!r} not in fleet (ids: {sorted(files)[:5]}...)")
+    return _load_entry(manifest_path, t_s, scenario_id, files[scenario_id])
+
+
+def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]]:
+    """Check a fleet manifest; returns its path, its t_s and each scenario's CSV path by id.
 
     Rejects manifests that would corrupt results without failing: repeated
-    ids (truth and loss masks are keyed by id), files outside the fleet
-    directory, and a manifest `t_s` that disagrees with a trace's period.
+    ids (truth and loss masks are keyed by id) and files outside the fleet
+    directory. The CSVs themselves are not opened.
     """
-    fleet_dir = Path(fleet_dir)
     manifest_path = fleet_dir / MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -341,18 +361,22 @@ def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
     if t_s is not None and not (isinstance(t_s, (int, float)) and math.isfinite(t_s)):
         raise TraceFormatError(f"{manifest_path}: invalid t_s {t_s!r}")
     root = fleet_dir.resolve()
-    traces, ids = [], set()
+    files = {}
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and isinstance(entry.get("file"), str)):
             raise TraceFormatError(f"{manifest_path}: manifest entry missing id/file strings: {entry}")
-        if entry["id"] in ids:
+        if entry["id"] in files:
             raise TraceFormatError(f"{manifest_path}: duplicate scenario id {entry['id']!r}")
-        ids.add(entry["id"])
         path = fleet_dir / entry["file"]
         if not path.resolve().is_relative_to(root):
             raise TraceFormatError(f"{manifest_path}: file {entry['file']!r} lies outside the fleet directory")
-        trace = load_csv(path, trace_id=entry["id"])
-        if t_s is not None and abs(trace.t_s - t_s) > TIME_TOLERANCE:
-            raise TraceFormatError(f"{manifest_path}: t_s {t_s} != sample period {trace.t_s} of {path.name}")
-        traces.append(trace)
-    return traces
+        files[entry["id"]] = path
+    return manifest_path, t_s, files
+
+
+def _load_entry(manifest_path: Path, t_s: float | None, scenario_id: str, path: Path) -> ScenarioTrace:
+    """Parse one manifest entry's CSV; a manifest t_s that disagrees with its period is rejected."""
+    trace = load_csv(path, trace_id=scenario_id)
+    if t_s is not None and abs(trace.t_s - t_s) > TIME_TOLERANCE:
+        raise TraceFormatError(f"{manifest_path}: t_s {t_s} != sample period {trace.t_s} of {path.name}")
+    return trace

@@ -71,10 +71,12 @@ def test_run_rate_flag_must_match_fleet(tmp_path, fleet_dir):
     assert main(args + ["--rate", "5"]) == 2
 
 
-def test_run_config_errors(tmp_path, fleet_dir):
+def test_run_config_errors(tmp_path, fleet_dir, capsys):
     out = str(tmp_path / "log.csv")
     base = ["run", "--fleet", str(fleet_dir), "--out", out, "--per", "0.3"]
     assert main(base + ["--scenario", "nope", "--estimator", "cv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario 'nope' not in fleet (ids: ['s0000', 's0001', 's0002', 's0003']...)\n")
     assert main(base + ["--scenario", "s0000", "--estimator", "ukf"]) == 2
     assert main([
         "run", "--fleet", str(fleet_dir), "--scenario", "s0000",
@@ -96,12 +98,27 @@ def test_missing_fleet_is_parse_error(tmp_path):
 
 
 def test_corrupt_fleet_is_parse_error(tmp_path, fleet_dir):
+    run = ["run", "--fleet", str(fleet_dir), "--estimator", "cv", "--per", "0.3", "--out", str(tmp_path / "x.csv")]
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.0", "--seeds", "1", "--out", str(tmp_path / "out")]
     (fleet_dir / "s0000.csv").write_text("t,x_lv\n0,1\n")
-    code = main([
-        "run", "--fleet", str(fleet_dir), "--scenario", "s0000",
-        "--estimator", "cv", "--per", "0.3", "--out", str(tmp_path / "x.csv"),
-    ])
-    assert code == 3
+    assert main(run + ["--scenario", "s0000"]) == 3
+    # run parses only its own scenario's CSV; sweep parses them all
+    assert main(run + ["--scenario", "s0001"]) == 0
+    assert main(sweep) == 3
+
+    # every manifest fault still fails run, whichever scenario it names
+    manifest_path = fleet_dir / "manifest.json"
+    manifest = manifest_path.read_text()
+    entries = json.loads(manifest)["scenarios"]
+    duplicate = [entries[0], entries[1], {**entries[2], "id": "s0001"}, entries[3]]
+    escaping = [entries[0], entries[1], entries[2], {**entries[3], "file": "../s0003.csv"}]
+    (tmp_path / "s0003.csv").write_bytes((fleet_dir / "s0003.csv").read_bytes())
+    for bad in ("{not json", json.dumps({"t_s": 0.1, "scenarios": duplicate}),
+                json.dumps({"t_s": 0.1, "scenarios": escaping}), json.dumps({"t_s": 0.2, "scenarios": entries})):
+        manifest_path.write_text(bad)
+        assert main(run + ["--scenario", "s0001"]) == 3
+    manifest_path.write_text(manifest)
+    assert main(run + ["--scenario", "s0001"]) == 0
 
 
 def test_sweep_rejects_duplicate_ids_as_parse_error(tmp_path, fleet_dir):

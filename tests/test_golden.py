@@ -14,27 +14,60 @@ arguments. Any change that moves a single output byte fails here.
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fcwsim
 from fcwsim.cli import main
 from fcwsim.scenarios import load_fleet, save_fleet
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SWEEP = ["--estimators", "cv,ca,kalman", "--per", "0.0:1.0:0.1", "--seeds", "3",
+                "--kalman-q", "10", "--kalman-r", "1e-4", "--length-offset", "0.5"]
+
+
+def _assert_golden_summaries(out):
+    for name in ("summary.csv", "summary.json"):
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
 
 
 def test_sweep_matches_golden_bytes(tmp_path):
     fleet_dir, out = tmp_path / "fleet", tmp_path / "out"
     assert main(["gen", "--n", "6", "--seed", "2", "--out", str(fleet_dir)]) == 0
-    assert main([
-        "sweep", "--fleet", str(fleet_dir), "--estimators", "cv,ca,kalman",
-        "--per", "0.0:1.0:0.1", "--seeds", "3", "--kalman-q", "10", "--kalman-r", "1e-4",
-        "--length-offset", "0.5", "--out", str(out),
-    ]) == 0
-    for name in ("summary.csv", "summary.json"):
-        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
+    assert main(["sweep", "--fleet", str(fleet_dir), *GOLDEN_SWEEP, "--out", str(out)]) == 0
+    _assert_golden_summaries(out)
+
+
+def _fresh_env(**overrides):
+    """This environment with fcwsim importable, OPENBLAS_NUM_THREADS unset, then `overrides` applied."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    paths = [str(Path(fcwsim.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return {**env, **overrides}
+
+
+def test_fresh_cli_processes_match_golden_bytes(tmp_path):
+    """In-process tests import numpy before fcwsim.cli, so only a fresh process runs with the CLI's BLAS setting."""
+    fleet_dir, out = tmp_path / "fleet", tmp_path / "out"
+    for args in (["gen", "--n", "6", "--seed", "2", "--out", str(fleet_dir)],
+                 ["sweep", "--fleet", str(fleet_dir), *GOLDEN_SWEEP, "--out", str(out)]):
+        subprocess.run([sys.executable, "-m", "fcwsim.cli", *args], env=_fresh_env(), check=True,
+                       stdout=subprocess.DEVNULL)
+    _assert_golden_summaries(out)
+
+
+def test_cli_defaults_blas_threads_before_numpy_loads_and_keeps_a_user_value():
+    check = ("import os, sys; import fcwsim; numpy_loaded = 'numpy' in sys.modules; "
+             "import fcwsim.cli; print(numpy_loaded, os.environ['OPENBLAS_NUM_THREADS'])")
+    for env, expected in ((_fresh_env(), "1"), (_fresh_env(OPENBLAS_NUM_THREADS="2"), "2")):
+        printed = subprocess.run([sys.executable, "-c", check], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+        assert printed == f"False {expected}\n"
 
 
 FLEET_DIGESTS = json.loads((GOLDEN / "fleets.json").read_text())

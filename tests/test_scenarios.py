@@ -15,6 +15,7 @@ from fcwsim.scenarios import (
     generate_fleet,
     load_csv,
     load_fleet,
+    load_scenario,
     save_csv,
     save_fleet,
 )
@@ -313,6 +314,10 @@ def test_fleet_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "fleet" / "manifest.json").read_text())
     assert [e["id"] for e in manifest["scenarios"]] == [t.id for t in fleet]
     assert load_fleet(tmp_path / "fleet") == fleet
+    for trace in fleet:
+        assert load_scenario(tmp_path / "fleet", trace.id) == trace
+    with pytest.raises(ConfigError, match="'s0003' not in fleet"):
+        load_scenario(tmp_path / "fleet", "s0003")
 
 
 def test_fleet_write_is_byte_deterministic(tmp_path):
@@ -323,18 +328,28 @@ def test_fleet_write_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _load_first(fleet_dir):
+    return load_scenario(fleet_dir, "s0000")
+
+
 def test_load_fleet_errors(tmp_path):
-    with pytest.raises(TraceFormatError, match="cannot open"):
-        load_fleet(tmp_path / "nowhere")
     fleet_dir = tmp_path / "fleet"
-    fleet_dir.mkdir()
-    (fleet_dir / "manifest.json").write_text("{not json")
-    with pytest.raises(TraceFormatError, match="invalid JSON"):
-        load_fleet(fleet_dir)
-    for manifest in ('{"scenarios": []}', "[]"):
-        (fleet_dir / "manifest.json").write_text(manifest)
-        with pytest.raises(TraceFormatError, match="no scenarios"):
-            load_fleet(fleet_dir)
+    for load in (load_fleet, _load_first):
+        with pytest.raises(TraceFormatError, match="cannot open"):
+            load(tmp_path / "nowhere")
+        fleet_dir.mkdir(exist_ok=True)
+        (fleet_dir / "manifest.json").write_text("{not json")
+        with pytest.raises(TraceFormatError, match="invalid JSON"):
+            load(fleet_dir)
+        for manifest, fragment in (
+            ('{"scenarios": []}', "no scenarios"),
+            ("[]", "no scenarios"),
+            ('{"t_s": NaN, "scenarios": [{"id": "s0000", "file": "s0000.csv"}]}', "invalid t_s"),
+            ('{"scenarios": [{"id": "s0000"}]}', "missing id/file"),
+        ):
+            (fleet_dir / "manifest.json").write_text(manifest)
+            with pytest.raises(TraceFormatError, match=fragment):
+                load(fleet_dir)
 
 
 def _write_fleet_with(tmp_path, edit):
@@ -351,8 +366,10 @@ def test_load_fleet_rejects_duplicate_ids(tmp_path):
     def reuse_first_id(manifest):
         manifest["scenarios"][2]["id"] = manifest["scenarios"][0]["id"]
 
-    with pytest.raises(TraceFormatError, match="duplicate scenario id 's0000'"):
-        load_fleet(_write_fleet_with(tmp_path, reuse_first_id))
+    fleet_dir = _write_fleet_with(tmp_path, reuse_first_id)
+    for load in (load_fleet, _load_first):
+        with pytest.raises(TraceFormatError, match="duplicate scenario id 's0000'"):
+            load(fleet_dir)
 
 
 def test_load_fleet_rejects_files_outside_the_fleet(tmp_path):
@@ -361,13 +378,16 @@ def test_load_fleet_rejects_files_outside_the_fleet(tmp_path):
 
     fleet_dir = _write_fleet_with(tmp_path, escape)
     (tmp_path / "s0001.csv").write_bytes((fleet_dir / "s0001.csv").read_bytes())
-    with pytest.raises(TraceFormatError, match="outside the fleet directory"):
-        load_fleet(fleet_dir)
+    for load in (load_fleet, _load_first):
+        with pytest.raises(TraceFormatError, match="outside the fleet directory"):
+            load(fleet_dir)
 
 
 def test_load_fleet_rejects_manifest_period_mismatch(tmp_path):
     def wrong_period(manifest):
         manifest["t_s"] = 0.2
 
-    with pytest.raises(TraceFormatError, match="t_s 0.2 != sample period 0.1"):
-        load_fleet(_write_fleet_with(tmp_path, wrong_period))
+    fleet_dir = _write_fleet_with(tmp_path, wrong_period)
+    for load in (load_fleet, _load_first):
+        with pytest.raises(TraceFormatError, match="t_s 0.2 != sample period 0.1"):
+            load(fleet_dir)
