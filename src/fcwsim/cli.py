@@ -5,7 +5,8 @@ Subcommands:
   run    replay one scenario at a fixed PER and write the per-step log
   sweep  run the full estimator x PER grid and write summary CSV + JSON
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 input
+parse error.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--td", type=float, default=1.6, help="driver+brake reaction time, s (default 1.6)")
-    parser.add_argument("--rate", type=float, default=None,
-                        help="sample rate in Hz; must match the fleet (default: fleet's own)")
     parser.add_argument("--kalman-q", type=float, default=1.0, help="Kalman process-noise intensity (default 1.0)")
     parser.add_argument("--kalman-r", type=float, default=0.01, help="Kalman measurement variance, m^2 (default 0.01)")
     parser.add_argument("--kalman-p0", type=float, default=1.0, help="Kalman initial covariance scale (default 1.0)")
@@ -97,14 +96,6 @@ def _camp_from(args) -> CampParams:
 
 def _kalman_from(args) -> KalmanConfig:
     return KalmanConfig(q=args.kalman_q, r=args.kalman_r, p0=args.kalman_p0)
-
-
-def _period_from(args) -> float | None:
-    if args.rate is None:
-        return None
-    if not args.rate > 0:  # also rejects nan
-        raise ConfigError(f"rate must be positive: {args.rate}")
-    return 1.0 / args.rate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,11 +159,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     trace = load_scenario(args.fleet, args.scenario)
-    period = _period_from(args)
-    if period is not None and abs(period - trace.t_s) > 1e-9:
-        raise ConfigError(f"--rate {args.rate} Hz != fleet period {trace.t_s} s")
-    if not 0.0 <= args.per <= 1.0:
-        raise ConfigError(f"PER must be in [0, 1]: {args.per}")
     kinds = parse_estimators(args.estimator)
     if len(kinds) != 1:
         raise ConfigError(f"run takes exactly one estimator, got {args.estimator!r}")
@@ -194,7 +180,6 @@ def _cmd_sweep(args) -> int:
         camp=_camp_from(args),
         kalman=_kalman_from(args),
         master_seed=args.master_seed,
-        t_s=_period_from(args),
     )
     cells = sweep(fleet, cfg)
     out_dir = Path(args.out)
@@ -217,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TraceFormatError as exc:

@@ -62,7 +62,6 @@ class RunConfig:
     camp: CampParams = CampParams()
     kalman: KalmanConfig = KalmanConfig()
     master_seed: int = 0
-    t_s: Optional[float] = None  # None: take the fleet's period
 
     def __post_init__(self):
         if not self.estimators:
@@ -172,7 +171,7 @@ class _Batch:
     """
 
     def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
-        _check_fleet(fleet, cfg)
+        _check_fleet(fleet)
         self.fleet, self.pers, self.cfg = fleet, pers, cfg
         self.t_s = fleet[0].t_s
         groups: dict[int, list[int]] = {}
@@ -223,9 +222,8 @@ class _Batch:
         ]
 
 
-def _check_fleet(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> None:
-    """Reject a fleet that is empty, repeats an id or mixes sample periods, or
-    whose period differs from the configured one."""
+def _check_fleet(fleet: Sequence[ScenarioTrace]) -> None:
+    """Reject a fleet that is empty, repeats an id or mixes sample periods."""
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
     seen = set()
@@ -236,8 +234,6 @@ def _check_fleet(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> None:
     periods = {trace.t_s for trace in fleet}
     if len(periods) > 1:
         raise ConfigError(f"fleet mixes sample periods: {sorted(periods)}")
-    if cfg.t_s is not None and abs(cfg.t_s - fleet[0].t_s) > 1e-9:
-        raise ConfigError(f"configured sample period {cfg.t_s} != fleet period {fleet[0].t_s}")
 
 
 # ---------------------------------------------------------------------------

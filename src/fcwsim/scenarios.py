@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -46,35 +46,36 @@ class ScenarioTrace:
     """Paired LV/FV states sampled every t_s seconds.
 
     `data` is a read-only float64 array of shape (steps, 7), one row per
-    step, columns in CSV_COLUMNS order. `lv` and `fv` give the same states
-    as TimedState tuples for the scalar per-run path; they are built on
-    first use.
+    step, columns in CSV_COLUMNS order. Its time column is the only
+    statement of the sample period: `t_s` is the spacing of the first two
+    timestamps, and every later step must keep it. `lv` and `fv` give the
+    same states as TimedState tuples for the scalar per-run path; they are
+    built on first use.
     """
 
     id: str
-    t_s: float
     data: np.ndarray
+    t_s: float = field(init=False)
 
     def __post_init__(self):
-        if self.t_s <= 0.0 or not math.isfinite(self.t_s):
-            raise ValueError(f"trace {self.id}: invalid sample period {self.t_s}")
         data = np.array(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"trace {self.id}: data must have shape (steps, 7), got {data.shape}")
         if len(data) < 2:
             raise ValueError(f"trace {self.id}: needs at least 2 steps, got {len(data)}")
-        fault = _bad_value(data) or _bad_timing(data[:, 0], self.t_s)
+        fault = _bad_value(data) or _bad_timing(data[:, 0])
         if fault:
             raise ValueError(f"trace {self.id}: step {fault[0]}: {fault[1]}")
         if float(data[0, 1]) - float(data[0, 4]) <= 0.0:
             raise ValueError(f"trace {self.id}: initial gap must be positive")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "t_s", float(data[1, 0]) - float(data[0, 0]))
 
     def __eq__(self, other):
         if not isinstance(other, ScenarioTrace):
             return NotImplemented
-        return self.id == other.id and self.t_s == other.t_s and np.array_equal(self.data, other.data)
+        return self.id == other.id and np.array_equal(self.data, other.data)
 
     __hash__ = None
 
@@ -112,10 +113,11 @@ def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
     return k, f"negative speed {CSV_COLUMNS[j]}={float(data[k, j])}"
 
 
-def _bad_timing(t: np.ndarray, t_s: float) -> tuple[int, str] | None:
-    """First step off the time origin or off a positive t_s sampling grid, with what is wrong there."""
+def _bad_timing(t: np.ndarray) -> tuple[int, str] | None:
+    """First step off the time origin or off the grid its first two steps set, with what is wrong there."""
     if not 0.0 <= t[0] <= TIME_TOLERANCE:  # a negative origin could not be a TimedState
         return 0, f"time origin must be 0, got {float(t[0])}"
+    t_s = float(t[1]) - float(t[0])
     if t_s <= 0.0:
         return 1, "non-increasing timestamps"
     with np.errstate(over="ignore"):  # an overflowing difference is off the grid as inf
@@ -174,8 +176,19 @@ def generate_fleet(cfg: GenConfig) -> list[ScenarioTrace]:
     a sample boundary (see _snap_braking); the drift from the sampled values
     is below half a sample period's worth of deceleration. All scenarios
     are integrated together, step by step, with step_ca_batch for the LV
-    and step_position_cv's expression for the FV.
+    and step_position_cv's expression for the FV. Ranges that pass
+    GenConfig but overflow, or give a trace ScenarioTrace rejects, are a
+    ConfigError naming cfg.
     """
+    try:
+        return [ScenarioTrace(f"s{i:04d}", rows) for i, rows in enumerate(_integrate_fleet(cfg))]
+    except (ArithmeticError, ValueError) as exc:  # ValueError includes _snap_braking's ConfigError
+        raise ConfigError(f"{cfg} gives no valid fleet: {exc}") from exc
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows up as a non-finite trace
+def _integrate_fleet(cfg: GenConfig) -> np.ndarray:
+    """The fleet's rows, shape (scenarios, steps, 7), before validation."""
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     n_steps = round(cfg.duration / cfg.t_s) + 1
     params = []
@@ -199,7 +212,7 @@ def generate_fleet(cfg: GenConfig) -> list[ScenarioTrace]:
         data[:, k, 1], data[:, k, 2], data[:, k, 3], data[:, k, 4] = x_lv, v, a, x_fv
         x_lv, v = step_ca_batch(x_lv, v, a, dt)
         x_fv = x_fv + v_fv * dt
-    return [ScenarioTrace(f"s{i:04d}", dt, rows) for i, rows in enumerate(data)]
+    return data
 
 
 def _snap_braking(v_raw: float, decel_raw: float, t_s: float) -> tuple[float, float]:
@@ -294,12 +307,11 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
         raise TraceFormatError(f"{path}: {parse_error}")
     if len(data) < 2:
         raise TraceFormatError(f"{path}: needs at least 2 data rows, got {len(data)}")
-    t_s = float(data[1, 0]) - float(data[0, 0])
-    fault = _bad_timing(data[:, 0], t_s)
+    fault = _bad_timing(data[:, 0])
     if fault:
         raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     try:
-        return ScenarioTrace(trace_id or path.stem, t_s, data)
+        return ScenarioTrace(trace_id or path.stem, data)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 

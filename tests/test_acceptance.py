@@ -42,6 +42,7 @@ from fcwsim.kinematics import (
 )
 from fcwsim.metrics import ConfusionCounts, accuracy, aggregate, classify_step, true_positive
 from fcwsim.scenarios import GenConfig, generate_fleet
+from tracebuild import fold_trace
 
 CV = EstimatorKind.CONSTANT_VELOCITY
 CA = EstimatorKind.CONSTANT_ACCELERATION
@@ -75,20 +76,6 @@ def cell_cache(fleet):
         return cache[key]
 
     return get
-
-
-def fold_trace(x0, v0, segments, t_s=0.1):
-    states = []
-    x, v = x0, v0
-    k = 0
-    for a, steps in segments:
-        for _ in range(steps):
-            states.append(TimedState(k * t_s, VehicleState(x, v, a)))
-            x = step_position_ca(x, v, a, t_s)
-            v = step_velocity_ca(v, a, t_s)
-            k += 1
-    states.append(TimedState(k * t_s, VehicleState(x, v, segments[-1][0])))
-    return states
 
 
 def test_criterion_1_zero_loss_perfection(fleet):

@@ -63,12 +63,16 @@ def test_run_writes_step_log(tmp_path, fleet_dir):
     assert len(lines) == 152  # 151 steps + header
 
 
-def test_run_rate_flag_must_match_fleet(tmp_path, fleet_dir):
-    out = tmp_path / "log.csv"
-    args = ["run", "--fleet", str(fleet_dir), "--scenario", "s0000",
-            "--estimator", "cv", "--per", "0.1", "--out", str(out)]
-    assert main(args + ["--rate", "10"]) == 0
-    assert main(args + ["--rate", "5"]) == 2
+def test_run_rate_flag_must_match_fleet(tmp_path, fleet_dir, capsys):
+    # the fleet's time column is the only statement of its period: run and sweep take no --rate
+    run = ["run", "--fleet", str(fleet_dir), "--scenario", "s0000",
+           "--estimator", "cv", "--per", "0.1", "--out", str(tmp_path / "log.csv")]
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.1", "--seeds", "1", "--out", str(tmp_path / "sweep")]
+    for args in (run, sweep):
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--rate", "10"]) == 2
+        assert "unrecognized arguments: --rate 10" in capsys.readouterr().err
 
 
 def test_run_config_errors(tmp_path, fleet_dir, capsys):
@@ -78,13 +82,15 @@ def test_run_config_errors(tmp_path, fleet_dir, capsys):
     assert capsys.readouterr().err == (
         "error: scenario 'nope' not in fleet (ids: ['s0000', 's0001', 's0002', 's0003']...)\n")
     assert main(base + ["--scenario", "s0000", "--estimator", "ukf"]) == 2
-    assert main([
-        "run", "--fleet", str(fleet_dir), "--scenario", "s0000",
-        "--estimator", "cv", "--per", "1.5", "--out", out,
-    ]) == 2
+    capsys.readouterr()
+    for per in ("1.5", "nan"):
+        assert main([
+            "run", "--fleet", str(fleet_dir), "--scenario", "s0000",
+            "--estimator", "cv", "--per", per, "--out", out,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: packet error ratio must be in [0, 1]: {per}\n"
     sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep")]
-    for bad in (["--td", "-1"], ["--eps-v", "0"], ["--min-decel", "nan"],
-                ["--length-offset", "inf"], ["--rate", "nan"]):
+    for bad in (["--td", "-1"], ["--eps-v", "0"], ["--min-decel", "nan"], ["--length-offset", "inf"]):
         assert main(base + ["--scenario", "s0000", "--estimator", "cv"] + bad) == 2
         assert main(sweep + bad) == 2
 
@@ -157,10 +163,55 @@ def test_sweep_kalman_flags(tmp_path, fleet_dir):
     assert payload["config"]["t_d"] == 1.2
 
 
-def test_gen_rejects_bad_config(tmp_path):
+def test_gen_rejects_bad_config(tmp_path, capsys):
     assert main(["gen", "--n", "0", "--out", str(tmp_path / "f")]) == 2
     assert main(["gen", "--n", "2", "--decel=-2:3", "--out", str(tmp_path / "f")]) == 2
     # leading-dash range without '=' is an argparse-level error, still exit 2
     assert main(["gen", "--n", "2", "--decel", "-2:3", "--out", str(tmp_path / "f")]) == 2
     for bad in (["--duration", "nan"], ["--duration", "inf"], ["--seed", "-1"]):
         assert main(["gen", "--n", "2", *bad, "--out", str(tmp_path / "f")]) == 2
+    # each passes GenConfig's range checks, and none may warn on the way (warnings are errors here):
+    # the number of braking steps overflows, or its divisor underflows to 0, or a position overflows
+    # at the first step or during the numpy integration
+    for bad in (["--speed", "1e308:1.5e308", "--headway", "2:2"],
+                ["--speed", "1e200:1e200", "--decel=-1e-200:-1e-200"],
+                ["--decel=-5e-324:-5e-324"],
+                ["--speed", "1e308:1e308", "--headway", "2:2", "--decel=-8:-8"],
+                ["--speed", "1e307:1e307", "--headway", "10:10"]):
+        capsys.readouterr()
+        assert main(["gen", "--n", "3", *bad, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: GenConfig(n_scenarios=3, ") and "gives no valid fleet" in err
+    assert not (tmp_path / "f").exists()
+
+
+def test_unwritable_output_is_config_error(tmp_path, fleet_dir, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    run = ["run", "--fleet", str(fleet_dir), "--scenario", "s0000", "--estimator", "cv", "--per", "0.3"]
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.3", "--seeds", "1"]
+    for args, out, error in ((run, tmp_path / "nodir" / "x.csv", "No such file or directory"),
+                             (run, tmp_path, "Is a directory"),
+                             (sweep, a_file, "File exists"),
+                             (["gen", "--n", "3"], a_file, "File exists")):
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
+
+
+def test_run_replays_seed_index_zero_of_sweep(tmp_path, capsys):
+    fleet = tmp_path / "fleet"
+    assert main(["gen", "--n", "1", "--seed", "0", "--out", str(fleet)]) == 0
+    # on this scenario seed indices 0 and 1 give different error counts for both cases
+    for kind, per, seed in (("cv", "0.9", 3), ("kalman", "0.5", 11)):
+        capsys.readouterr()
+        assert main(["run", "--fleet", str(fleet), "--scenario", "s0000", "--estimator", kind,
+                     "--per", per, "--seed", str(seed), "--out", str(tmp_path / "log.csv")]) == 0
+        printed = capsys.readouterr().out.strip().rstrip(")").split("(")[1]
+        ch, cs, is_, ih = (int(field.split("=")[1]) for field in printed.split())
+        assert 0 < ch + cs < ch + cs + is_ + ih  # some steps are wrong, so the seed shows
+        assert main(["sweep", "--fleet", str(fleet), "--estimators", kind, "--per", per,
+                     "--seeds", "1", "--master-seed", str(seed), "--out", str(tmp_path / "sweep")]) == 0
+        cell, = json.loads((tmp_path / "sweep" / "summary.json").read_text())["cells"]
+        assert cell["mean_accuracy"] == (ch + cs) / (ch + cs + is_ + ih)
+        assert cell["mean_tp"] == ch / (ch + is_)

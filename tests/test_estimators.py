@@ -20,28 +20,9 @@ from fcwsim.estimators import (
     kalman_predict,
 )
 from fcwsim.kinematics import SampleClock, TimedState, VehicleState, step_position_ca, step_velocity_ca
+from tracebuild import fold_trace
 
 CLOCK = SampleClock(t_s=0.1)
-
-
-def fold_trace(x0, v0, segments, t_s=0.1):
-    """Build a piecewise-constant-acceleration truth sequence with the step functions.
-
-    segments: list of (acceleration, n_steps). Returns TimedStates; the
-    recorded acceleration at each step is the one active over the next
-    interval, so segment breakpoints land on exact sample indices.
-    """
-    states = []
-    x, v = x0, v0
-    k = 0
-    for a, steps in segments:
-        for _ in range(steps):
-            states.append(TimedState(k * t_s, VehicleState(x, v, a)))
-            x = step_position_ca(x, v, a, t_s)
-            v = step_velocity_ca(v, a, t_s)
-            k += 1
-    states.append(TimedState(k * t_s, VehicleState(x, v, segments[-1][0])))
-    return states
 
 
 def test_cv_predict_substitutions():

@@ -119,11 +119,14 @@ def test_gen_config_validation():
 
 def test_trace_invariant_validation():
     ok = np.array([[0.0, 10.0, 5.0, 0.0, 0.0, 5.0, 0.0], [0.1, 10.5, 5.0, 0.0, 0.5, 5.0, 0.0]])
-    ScenarioTrace("ok", 0.1, ok)
+    assert ScenarioTrace("ok", ok).t_s == 0.1
+    three = np.vstack([ok, [0.2, 11.0, 5.0, 0.0, 1.0, 5.0, 0.0]])
+    assert ScenarioTrace("three", three).t_s == 0.1
     cases = [
         ("short", ok[:1], "at least 2 steps"),
         ("gap", ok[:, [0, 4, 5, 6, 1, 2, 3]], "initial gap"),  # LV behind FV
-        ("jump", with_value(ok, 1, 0, 0.3), "step 1: non-uniform sampling"),
+        ("jump", with_value(three, 2, 0, 0.3), "step 2: non-uniform sampling"),
+        ("still", with_value(ok, 1, 0, 0.0), "step 1: non-increasing timestamps"),
         ("origin", with_value(ok, 0, 0, 1.0), "step 0: time origin"),
         ("nan", with_value(ok, 1, 6, np.nan), "step 1: non-finite a_fv=nan"),
         ("reverse", with_value(ok, 1, 2, -0.5), "step 1: negative speed v_lv=-0.5"),
@@ -131,9 +134,7 @@ def test_trace_invariant_validation():
     ]
     for trace_id, data, fragment in cases:
         with pytest.raises(ValueError, match=f"trace {trace_id}: .*{fragment}"):
-            ScenarioTrace(trace_id, 0.1, data)
-    with pytest.raises(ValueError, match="sample period"):
-        ScenarioTrace("period", 0.0, ok)
+            ScenarioTrace(trace_id, data)
 
 
 def with_value(data, k, j, value):
@@ -144,13 +145,13 @@ def with_value(data, k, j, value):
 
 def test_trace_data_is_a_read_only_copy():
     data = np.array([[0.0, 10.0, 5.0, 0.0, 0.0, 5.0, 0.0], [0.1, 10.5, 5.0, 0.0, 0.5, 5.0, 0.0]])
-    trace = ScenarioTrace("ro", 0.1, data)
+    trace = ScenarioTrace("ro", data)
     data[1, 1] = 99.0
     assert trace.data[1, 1] == 10.5
     with pytest.raises(ValueError, match="read-only"):
         trace.data[1, 1] = 99.0
-    assert trace == ScenarioTrace("ro", 0.1, trace.data)
-    assert trace != ScenarioTrace("other", 0.1, trace.data)
+    assert trace == ScenarioTrace("ro", trace.data)
+    assert trace != ScenarioTrace("other", trace.data)
     with pytest.raises(TypeError):
         hash(trace)
 
@@ -280,7 +281,7 @@ def random_traces(draw):
                 row[j] = -row[j]
     if not rows[0][1] - rows[0][4] > 0.0:
         rows[0][1], rows[0][4] = 1.0, 0.0
-    return ScenarioTrace("r", 0.125, np.array(rows))
+    return ScenarioTrace("r", np.array(rows))
 
 
 @settings(max_examples=100, deadline=None)
