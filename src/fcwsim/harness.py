@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("at least one estimator required")
         if not self.pers:
             raise ConfigError("at least one PER value required")
+        if len(set(self.estimators)) < len(self.estimators) or len(set(self.pers)) < len(self.pers):
+            raise ConfigError(f"repeated estimator or PER: {[k.value for k in self.estimators]}, {list(self.pers)}")
         for per in self.pers:
             if not 0.0 <= per <= 1.0:
                 raise ConfigError(f"PER must be in [0, 1]: {per}")
@@ -161,10 +163,10 @@ def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
 class _Batch:
     """All (PER, scenario, seed) runs of a sweep, as arrays.
 
-    The fleet must pass `_check_fleet`, so all traces share one sample
-    period. Runs are grouped by trace length; a group's runs have shape
-    (PER, scenario, seed) and its per-scenario arrays are shaped
-    (steps, 1, scenario, 1) so step k broadcasts over the runs.
+    Runs are grouped by trace length and sample period, so each trace
+    steps at its own period. A group's runs have shape (PER, scenario,
+    seed) and its per-scenario arrays are shaped (steps, 1, scenario, 1)
+    so step k broadcasts over the runs.
     The loss masks are drawn once here and shared by every estimator.
     Truth warnings come from `truth` ({id: decisions}) when given, else
     from the same batched warning evaluation on the exact LV states.
@@ -173,12 +175,11 @@ class _Batch:
     def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
         _check_fleet(fleet)
         self.fleet, self.pers, self.cfg = fleet, pers, cfg
-        self.t_s = fleet[0].t_s
-        groups: dict[int, list[int]] = {}
+        groups: dict[tuple[int, float], list[int]] = {}
         for i, trace in enumerate(fleet):
-            groups.setdefault(len(trace), []).append(i)
+            groups.setdefault((len(trace), trace.t_s), []).append(i)
         self.groups = []
-        for n_steps, members in groups.items():
+        for (n_steps, t_s), members in groups.items():
             traces = [fleet[i] for i in members]
             data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
             lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
@@ -193,16 +194,16 @@ class _Batch:
                     for j in range(cfg.seeds):
                         seed = derive_seed(cfg.master_seed, t.id, per, j)
                         delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
-            self.groups.append((members, lv, fv, truth_warn, delivered))
+            self.groups.append((members, t_s, lv, fv, truth_warn, delivered))
 
     def cells(self, kind: EstimatorKind) -> list[SweepCell]:
         """One cell per PER for `kind`; runs are aggregated in (scenario, seed) order."""
         cfg = self.cfg
         counts = np.zeros((len(self.pers), len(self.fleet), cfg.seeds, 4), dtype=np.int64)
-        for members, lv, fv, truth_warn, delivered in self.groups:
+        for members, t_s, lv, fv, truth_warn, delivered in self.groups:
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
-            estimates = estimate_batch(*lv, delivered, kind, self.t_s, cfg.kalman)
+            estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
             for k, (x, v, a) in enumerate(estimates):
                 gap = x - fv[0][k] - cfg.camp.length_offset
                 warn = warn_batch(gap, fv[1][k], fv[2][k], v, a, cfg.camp)
@@ -223,7 +224,7 @@ class _Batch:
 
 
 def _check_fleet(fleet: Sequence[ScenarioTrace]) -> None:
-    """Reject a fleet that is empty, repeats an id or mixes sample periods."""
+    """Reject a fleet that is empty or repeats an id."""
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
     seen = set()
@@ -231,9 +232,6 @@ def _check_fleet(fleet: Sequence[ScenarioTrace]) -> None:
         if trace.id in seen:
             raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
         seen.add(trace.id)
-    periods = {trace.t_s for trace in fleet}
-    if len(periods) > 1:
-        raise ConfigError(f"fleet mixes sample periods: {sorted(periods)}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +300,16 @@ def write_summary_json(cells: Sequence[SweepCell], cfg: RunConfig, path: Path | 
             "pers": list(cfg.pers),
             "seeds": cfg.seeds,
             "master_seed": cfg.master_seed,
-            "t_d": cfg.camp.t_d,
-            "eps_v": cfg.camp.eps_v,
-            "min_decel": cfg.camp.min_decel,
-            "length_offset": cfg.camp.length_offset,
-            "kalman_q": cfg.kalman.q,
-            "kalman_r": cfg.kalman.r,
-            "kalman_p0": cfg.kalman.p0,
+            **asdict(cfg.camp),
+            **{f"kalman_{name}": value for name, value in asdict(cfg.kalman).items()},
         },
         "cells": [
             {
                 "estimator": cell.estimator.value,
                 "per": cell.per,
-                "mean_tp": cell.summary.mean_tp,
-                "mean_accuracy": cell.summary.mean_accuracy,
-                "tp_std": cell.summary.tp_std,
-                "accuracy_std": cell.summary.accuracy_std,
                 "n_scenarios": cell.n_scenarios,
                 "n_seeds": cell.n_seeds,
-                "n_undefined_tp": cell.summary.n_undefined_tp,
-                "n_undefined_accuracy": cell.summary.n_undefined_accuracy,
+                **{name: value for name, value in asdict(cell.summary).items() if name != "n_runs"},
             }
             for cell in cells
         ],

@@ -115,7 +115,7 @@ def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
 
 def _bad_timing(t: np.ndarray) -> tuple[int, str] | None:
     """First step off the time origin or off the grid its first two steps set, with what is wrong there."""
-    if not 0.0 <= t[0] <= TIME_TOLERANCE:  # a negative origin could not be a TimedState
+    if t[0] != 0.0:
         return 0, f"time origin must be 0, got {float(t[0])}"
     t_s = float(t[1]) - float(t[0])
     if t_s <= 0.0:
@@ -311,7 +311,7 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
     if fault:
         raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     try:
-        return ScenarioTrace(trace_id or path.stem, data)
+        return ScenarioTrace(path.stem if trace_id is None else trace_id, data)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 
@@ -375,7 +375,8 @@ def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]
     root = fleet_dir.resolve()
     files = {}
     for entry in entries:
-        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and isinstance(entry.get("file"), str)):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str) and entry["id"]
+                and isinstance(entry.get("file"), str)):
             raise TraceFormatError(f"{manifest_path}: manifest entry missing id/file strings: {entry}")
         if entry["id"] in files:
             raise TraceFormatError(f"{manifest_path}: duplicate scenario id {entry['id']!r}")

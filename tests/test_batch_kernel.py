@@ -40,10 +40,10 @@ camps = st.builds(
 
 @st.composite
 def fleets(draw):
-    """1-3 traces of 2-12 steps at one sample period; lengths vary within a fleet."""
-    t_s = draw(st.sampled_from([0.1, 0.05, 0.2]))
+    """1-3 traces of 2-12 steps; lengths and sample periods vary within a fleet."""
     fleet = []
     for i in range(draw(st.integers(1, 3))):
+        t_s = draw(st.sampled_from([0.1, 0.05, 0.2]))
         n = draw(st.integers(2, 12))
         lv = [draw(states) for _ in range(n)]
         fv = [draw(states) for _ in range(n)]

@@ -136,6 +136,33 @@ def test_sweep_rejects_duplicate_ids_as_parse_error(tmp_path, fleet_dir):
     assert not (tmp_path / "out").exists()
 
 
+def test_fleet_timing_is_settled_at_load_time(tmp_path, fleet_dir, capsys):
+    run = ["run", "--fleet", str(fleet_dir), "--scenario", "s0001", "--estimator", "cv", "--per", "0.5",
+           "--out", str(tmp_path / "log.csv")]
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "2", "--out", str(tmp_path / "out")]
+    csv_path = fleet_dir / "s0001.csv"
+    header, *rows = csv_path.read_text().splitlines()
+    # a period within 1e-9 of the manifest's loads, and sweep steps each trace at its own period
+    scaled = [f"{float(t) * (1 + 5e-9)!r},{rest}" for t, rest in (row.split(",", 1) for row in rows)]
+    csv_path.write_text("\n".join([header, *scaled]) + "\n")
+    assert main(sweep) == 0
+    assert main(run) == 0
+    # a time origin off 0 would set a period other than the second timestamp
+    csv_path.write_text("\n".join([header, "1e-10," + rows[0].split(",", 1)[1], *rows[1:]]) + "\n")
+    capsys.readouterr()
+    for args in (run, sweep):
+        assert main(args) == 3
+        assert "row 2: time origin must be 0, got 1e-10" in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_grid_values(tmp_path, fleet_dir, capsys):
+    sweep = ["sweep", "--fleet", str(fleet_dir), "--seeds", "1", "--out", str(tmp_path / "out")]
+    for grid in (["--estimators", "cv,cv", "--per", "0.5"], ["--estimators", "cv", "--per", "0.1,0.10000000001"]):
+        assert main(sweep + grid) == 2
+        assert "repeated estimator or PER" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_summaries(tmp_path, fleet_dir):
     out = tmp_path / "sweep"
     code = main([

@@ -7,6 +7,7 @@ from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind
 from fcwsim.harness import (
     RunConfig,
+    SweepCell,
     derive_seed,
     run_cell,
     run_scenario,
@@ -17,6 +18,7 @@ from fcwsim.harness import (
     write_summary_json,
 )
 from fcwsim.kinematics import VehicleState, step_position_cv
+from fcwsim.metrics import aggregate
 from fcwsim.scenarios import GenConfig, generate_fleet, load_fleet, save_fleet
 from tracebuild import trace_from_states
 
@@ -118,13 +120,22 @@ def test_sweep_zero_loss_is_perfect(fleet):
 
 
 def test_sweep_input_validation(fleet):
+    with pytest.raises(ConfigError):
+        sweep([], RunConfig())
+    with pytest.raises(ConfigError):
+        run_cell([], EstimatorKind.CONSTANT_VELOCITY, 0.5, RunConfig())
+    # two periods in one fleet: each trace steps at its own, as it does alone
     mixed = list(fleet) + [constant_velocity_trace(t_s=0.05)]
-    # empty, and two periods in one fleet
-    for bad_fleet in ([], mixed):
-        with pytest.raises(ConfigError):
-            sweep(bad_fleet, RunConfig())
-        with pytest.raises(ConfigError):
-            run_cell(bad_fleet, EstimatorKind.CONSTANT_VELOCITY, 0.5, RunConfig())
+    cfg = RunConfig(pers=(0.0, 0.5), seeds=2)
+    expected = [
+        SweepCell(kind, per, aggregate([
+            run_scenario(trace, kind, per, derive_seed(0, trace.id, per, j))[1] for trace in mixed for j in range(2)
+        ]), len(mixed), 2)
+        for kind in cfg.estimators
+        for per in cfg.pers
+    ]
+    assert sweep(mixed, cfg) == expected
+    assert run_cell(mixed, EstimatorKind.CONSTANT_VELOCITY, 0.5, cfg) == expected[1]
 
 
 def test_sweep_never_builds_per_step_states(tmp_path):
@@ -151,6 +162,13 @@ def test_run_config_validation():
         RunConfig(pers=(1.2,))
     with pytest.raises(ConfigError):
         RunConfig(seeds=0)
+    # a repeated grid value would draw the same masks twice and write duplicate cells
+    with pytest.raises(ConfigError, match="repeated"):
+        RunConfig(estimators=(EstimatorKind.KALMAN, EstimatorKind.CONSTANT_VELOCITY, EstimatorKind.KALMAN))
+    with pytest.raises(ConfigError, match="repeated"):
+        RunConfig(pers=(0.5, 0.1, 0.5))
+    with pytest.raises(ConfigError, match="repeated"):
+        RunConfig(pers=(0.0, -0.0))
 
 
 def test_step_log_csv_shape(tmp_path, fleet):

@@ -218,6 +218,7 @@ def test_load_csv_row_errors(tmp_path, rows, fragment):
         ("0.5,20,10,0,0,8,0\n0.0,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got 0.5"),
         ("-1e308,20,10,0,0,8,0\n1e308,21,10,0,0.8,8,0\n", "row 2: time origin"),
         ("-1e-10,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got -1e-10"),
+        ("1e-10,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got 1e-10"),
         ("0.0,20,10,0,0,8,0\n1e308,21,10,0,0.8,8,0\n-1e308,22,10,0,1.6,8,0\n", r"row 4: non-uniform sampling \(dt=-inf"),
         ("0.0,0,10,0,0,8,0\n0.1,1,10,0,0.8,8,0\n", "trace bad: initial gap"),
     ],
@@ -347,6 +348,8 @@ def test_load_fleet_errors(tmp_path):
             ("[]", "no scenarios"),
             ('{"t_s": NaN, "scenarios": [{"id": "s0000", "file": "s0000.csv"}]}', "invalid t_s"),
             ('{"scenarios": [{"id": "s0000"}]}', "missing id/file"),
+            ('{"scenarios": [{"id": "", "file": "s0000.csv"}, {"id": "s0000", "file": "s0000.csv"}]}',
+             "missing id/file"),
         ):
             (fleet_dir / "manifest.json").write_text(manifest)
             with pytest.raises(TraceFormatError, match=fragment):
