@@ -14,14 +14,14 @@ the same loss masks, making their comparison paired.
 
 `run_scenario` steps one run through the scalar functions; it backs `run`
 and is the reference the batched sweep kernel is tested against. `sweep`
-and `run_cell` step every run of an estimator together over arrays.
+steps its runs together over arrays; `run_cell` is a one-cell sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -68,7 +68,9 @@ class RunConfig:
             raise ConfigError("at least one estimator required")
         if not self.pers:
             raise ConfigError("at least one PER value required")
-        if len(set(self.estimators)) < len(self.estimators) or len(set(self.pers)) < len(self.pers):
+        # Two PERs must differ as floats, as derive_seed keys and as the `per` field the writers print.
+        per_keys = (set(self.pers), {f"{per:.10g}" for per in self.pers}, {_fmt(per) for per in self.pers})
+        if len(set(self.estimators)) < len(self.estimators) or min(map(len, per_keys)) < len(self.pers):
             raise ConfigError(f"repeated estimator or PER: {[k.value for k in self.estimators]}, {list(self.pers)}")
         for per in self.pers:
             if not 0.0 <= per <= 1.0:
@@ -145,8 +147,8 @@ def run_cell(
     cfg: RunConfig,
     truth: Optional[dict[str, list[WarningDecision]]] = None,
 ) -> SweepCell:
-    """Aggregate one (estimator, PER) cell over all scenarios and seed indices."""
-    return _Batch(fleet, (per,), cfg, truth).cells(kind)[0]
+    """Aggregate one (estimator, PER) cell over all scenarios and seed indices, as `sweep` would."""
+    return _sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)), truth)[0]
 
 
 def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
@@ -156,51 +158,57 @@ def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
     estimator steps all of its (PER, scenario, seed) runs through time
     together, and every estimator reads the same loss masks.
     """
-    batch = _Batch(fleet, cfg.pers, cfg)
-    return [cell for kind in cfg.estimators for cell in batch.cells(kind)]
+    return _sweep(fleet, cfg, None)
 
 
-class _Batch:
-    """All (PER, scenario, seed) runs of a sweep, as arrays.
+def _sweep(
+    fleet: Sequence[ScenarioTrace],
+    cfg: RunConfig,
+    truth: Optional[dict[str, list[WarningDecision]]],
+) -> list[SweepCell]:
+    """Step every (PER, scenario, seed) run of `cfg` as arrays; see `sweep`.
 
     Runs are grouped by trace length and sample period, so each trace
     steps at its own period. A group's runs have shape (PER, scenario,
     seed) and its per-scenario arrays are shaped (steps, 1, scenario, 1)
-    so step k broadcasts over the runs.
-    The loss masks are drawn once here and shared by every estimator.
+    so step k broadcasts over the runs. Each mask is drawn once, and a
+    cell aggregates its runs in (scenario, seed) order.
     Truth warnings come from `truth` ({id: decisions}) when given, else
     from the same batched warning evaluation on the exact LV states.
     """
+    if not fleet:
+        raise ConfigError("sweep requires a non-empty fleet")
+    seen = set()
+    for trace in fleet:
+        if trace.id in seen:
+            raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
+        seen.add(trace.id)
 
-    def __init__(self, fleet, pers, cfg: RunConfig, truth=None) -> None:
-        _check_fleet(fleet)
-        self.fleet, self.pers, self.cfg = fleet, pers, cfg
-        groups: dict[tuple[int, float], list[int]] = {}
-        for i, trace in enumerate(fleet):
-            groups.setdefault((len(trace), trace.t_s), []).append(i)
-        self.groups = []
-        for (n_steps, t_s), members in groups.items():
-            traces = [fleet[i] for i in members]
-            data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
-            lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
-            fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
-            if truth is None:
-                truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
-            else:
-                truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
-            delivered = np.empty((n_steps, len(pers), len(traces), cfg.seeds), dtype=bool)
-            for p, per in enumerate(pers):
-                for s, t in enumerate(traces):
-                    for j in range(cfg.seeds):
-                        seed = derive_seed(cfg.master_seed, t.id, per, j)
-                        delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
-            self.groups.append((members, t_s, lv, fv, truth_warn, delivered))
+    by_shape: dict[tuple[int, float], list[int]] = {}
+    for i, trace in enumerate(fleet):
+        by_shape.setdefault((len(trace), trace.t_s), []).append(i)
+    groups = []
+    for (n_steps, t_s), members in by_shape.items():
+        traces = [fleet[i] for i in members]
+        data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
+        lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
+        fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
+        if truth is None:
+            truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
+        else:
+            truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
+        delivered = np.empty((n_steps, len(cfg.pers), len(traces), cfg.seeds), dtype=bool)
+        for p, per in enumerate(cfg.pers):
+            for s, t in enumerate(traces):
+                for j in range(cfg.seeds):
+                    seed = derive_seed(cfg.master_seed, t.id, per, j)
+                    delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
+        groups.append((members, t_s, lv, fv, truth_warn, delivered))
 
-    def cells(self, kind: EstimatorKind) -> list[SweepCell]:
-        """One cell per PER for `kind`; runs are aggregated in (scenario, seed) order."""
-        cfg = self.cfg
-        counts = np.zeros((len(self.pers), len(self.fleet), cfg.seeds, 4), dtype=np.int64)
-        for members, t_s, lv, fv, truth_warn, delivered in self.groups:
+    cells = []
+    for kind in cfg.estimators:
+        counts = np.zeros((len(cfg.pers), len(fleet), cfg.seeds, 4), dtype=np.int64)
+        for members, t_s, lv, fv, truth_warn, delivered in groups:
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
             estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
@@ -214,24 +222,10 @@ class _Batch:
             ih = n_warn - ch
             cs = len(delivered) - ch - is_ - ih
             counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
-        return [
-            SweepCell(
-                kind, per, aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()]),
-                len(self.fleet), cfg.seeds,
-            )
-            for per, per_counts in zip(self.pers, counts)
-        ]
-
-
-def _check_fleet(fleet: Sequence[ScenarioTrace]) -> None:
-    """Reject a fleet that is empty or repeats an id."""
-    if not fleet:
-        raise ConfigError("sweep requires a non-empty fleet")
-    seen = set()
-    for trace in fleet:
-        if trace.id in seen:
-            raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
-        seen.add(trace.id)
+        for per, per_counts in zip(cfg.pers, counts):
+            summary = aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()])
+            cells.append(SweepCell(kind, per, summary, len(fleet), cfg.seeds))
+    return cells
 
 
 # ---------------------------------------------------------------------------

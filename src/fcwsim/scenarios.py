@@ -99,18 +99,22 @@ class ScenarioTrace:
 
 
 def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
-    """First step holding a non-finite value or a negative speed, with what is wrong there."""
+    """First step holding a non-finite value, a negative speed or a non-finite gap, with what is wrong there."""
     finite = np.isfinite(data)
     negative = data[:, SPEED_COLUMNS] < 0.0
-    bad = ~finite.all(axis=1) | negative.any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x_lv - x_fv is inf
+        gap_finite = np.isfinite(data[:, 1] - data[:, 4])
+    bad = ~finite.all(axis=1) | negative.any(axis=1) | ~gap_finite
     if not bad.any():
         return None
     k = int(bad.argmax())
     if not finite[k].all():
         j = int(finite[k].argmin())
         return k, f"non-finite {CSV_COLUMNS[j]}={float(data[k, j])}"
-    j = SPEED_COLUMNS[int(negative[k].argmax())]
-    return k, f"negative speed {CSV_COLUMNS[j]}={float(data[k, j])}"
+    if negative[k].any():
+        j = SPEED_COLUMNS[int(negative[k].argmax())]
+        return k, f"negative speed {CSV_COLUMNS[j]}={float(data[k, j])}"
+    return k, f"non-finite gap x_lv - x_fv: x_lv={float(data[k, 1])}, x_fv={float(data[k, 4])}"
 
 
 def _bad_timing(t: np.ndarray) -> tuple[int, str] | None:
@@ -260,9 +264,9 @@ def save_csv(trace: ScenarioTrace, path: Path | str) -> None:
 def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
     """Parse and validate one trace CSV; errors carry the offending row number.
 
-    Faults confined to one row (field count, non-numeric, non-finite or
-    negative speed) are reported for the first such row; faults of the
-    sequence (row count, time origin, sampling, initial gap) after them.
+    Faults confined to one row (field count, non-numeric, non-finite, negative
+    speed, overflowing x_lv - x_fv) are reported for the first such row;
+    faults of the sequence (row count, time origin, sampling, initial gap) after them.
     """
     path = Path(path)
     try:
@@ -325,7 +329,8 @@ def save_fleet(traces: Sequence[ScenarioTrace], out_dir: Path | str) -> Path:
         filename = f"{trace.id}.csv"
         save_csv(trace, out_dir / filename)
         entries.append({"id": trace.id, "file": filename})
-    manifest = {"t_s": traces[0].t_s if traces else None, "scenarios": entries}
+    periods = {trace.t_s for trace in traces}
+    manifest = {"t_s": periods.pop() if len(periods) == 1 else None, "scenarios": entries}
     manifest_path = out_dir / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest_path

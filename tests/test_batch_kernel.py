@@ -105,4 +105,6 @@ def test_sweep_matches_scalar_runs(fleet, camp, seeds, master_seed):
         ]
         assert sweep(fleet, cfg) == expected
         truth = {trace.id: truth_decisions(trace, camp) for trace in fleet}
-        assert run_cell(fleet, EstimatorKind.KALMAN, 0.4, cfg, truth) == expected[-2]
+        for cell in expected:
+            assert run_cell(fleet, cell.estimator, cell.per, cfg) == cell
+            assert run_cell(fleet, cell.estimator, cell.per, cfg, truth) == cell

@@ -157,7 +157,11 @@ def test_fleet_timing_is_settled_at_load_time(tmp_path, fleet_dir, capsys):
 
 def test_sweep_rejects_repeated_grid_values(tmp_path, fleet_dir, capsys):
     sweep = ["sweep", "--fleet", str(fleet_dir), "--seeds", "1", "--out", str(tmp_path / "out")]
-    for grid in (["--estimators", "cv,cv", "--per", "0.5"], ["--estimators", "cv", "--per", "0.1,0.10000000001"]):
+    for grid in (
+        ["--estimators", "cv,cv", "--per", "0.5"],
+        ["--estimators", "cv", "--per", "0.1,0.10000000001"],
+        ["--estimators", "cv", "--per", "0.1,0.1000000001"],  # distinct PERs printed alike
+    ):
         assert main(sweep + grid) == 2
         assert "repeated estimator or PER" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """Pipeline orchestration: determinism, truth-side independence, sweep structure."""
 
+import json
+
 import pytest
 
 from fcwsim.camp_linear import CampParams
@@ -119,11 +121,15 @@ def test_sweep_zero_loss_is_perfect(fleet):
         assert cell.summary.mean_accuracy == 1.0
 
 
-def test_sweep_input_validation(fleet):
+def test_sweep_input_validation(fleet, tmp_path):
     with pytest.raises(ConfigError):
         sweep([], RunConfig())
     with pytest.raises(ConfigError):
         run_cell([], EstimatorKind.CONSTANT_VELOCITY, 0.5, RunConfig())
+    # run_cell's PER passes the same checks as a sweep grid's
+    for per in (1.5, float("nan"), -0.2):
+        with pytest.raises(ConfigError, match="PER must be in"):
+            run_cell(fleet, EstimatorKind.CONSTANT_VELOCITY, per, RunConfig(seeds=1))
     # two periods in one fleet: each trace steps at its own, as it does alone
     mixed = list(fleet) + [constant_velocity_trace(t_s=0.05)]
     cfg = RunConfig(pers=(0.0, 0.5), seeds=2)
@@ -136,6 +142,12 @@ def test_sweep_input_validation(fleet):
     ]
     assert sweep(mixed, cfg) == expected
     assert run_cell(mixed, EstimatorKind.CONSTANT_VELOCITY, 0.5, cfg) == expected[1]
+    # saved with manifest t_s null, it reloads as it was
+    save_fleet(mixed, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["t_s"] is None
+    reloaded = load_fleet(tmp_path)
+    assert reloaded == mixed
+    assert sweep(reloaded, cfg) == expected
 
 
 def test_sweep_never_builds_per_step_states(tmp_path):
@@ -169,6 +181,11 @@ def test_run_config_validation():
         RunConfig(pers=(0.5, 0.1, 0.5))
     with pytest.raises(ConfigError, match="repeated"):
         RunConfig(pers=(0.0, -0.0))
+    # distinct floats that share a derive_seed key, or only a printed `per` label, would head two rows alike
+    with pytest.raises(ConfigError, match="repeated"):
+        RunConfig(pers=(0.1, 0.10000000001))
+    with pytest.raises(ConfigError, match="repeated"):
+        RunConfig(pers=(0.1, 0.1000000001))
 
 
 def test_step_log_csv_shape(tmp_path, fleet):

@@ -1,6 +1,7 @@
 """Fleet generation and CSV/manifest ingestion."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,7 @@ def test_trace_invariant_validation():
         ("origin", with_value(ok, 0, 0, 1.0), "step 0: time origin"),
         ("nan", with_value(ok, 1, 6, np.nan), "step 1: non-finite a_fv=nan"),
         ("reverse", with_value(ok, 1, 2, -0.5), "step 1: negative speed v_lv=-0.5"),
+        ("overflow", with_value(with_value(ok, 1, 1, 1.5e308), 1, 4, -1.5e308), "step 1: non-finite gap"),
         ("columns", ok[:, :6], "shape"),
     ]
     for trace_id, data, fragment in cases:
@@ -212,6 +214,8 @@ def test_load_csv_row_errors(tmp_path, rows, fragment):
         ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,-8,0\n0.2,22,10\n", "row 3: negative speed v_fv=-8.0"),
         ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,8\n0.2,22,-1,0,1.6,8,0\n", "row 3: expected 7 fields, got 6"),
         ("0.0,20,10,0,0,8,inf\n0.1,21,-10,0,0.8,8,0\n", "row 2: non-finite a_fv=inf"),
+        ("0.0,20,10,0,0,8,0\n0.1,1.5e308,10,0,-1.5e308,8,0\n0.2,22,-1,0,1.6,8,0\n",
+         "row 3: non-finite gap x_lv - x_fv: x_lv=1.5e"),
         ("0.0,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n0.3,22,10,0,1.6,8,0\n0.5,23,10,0,2.4,8,0\n",
          r"row 4: non-uniform sampling \(dt=0.19999999999999998, expected 0.1\)"),
         ("0.0,20,10,0,0,8,0\n0.0,21,10,0,0.8,8,0\n0.3,22,10,0,1.6,8,0\n", "row 3: non-increasing"),
@@ -273,13 +277,19 @@ finite_values = st.one_of(
 
 @st.composite
 def random_traces(draw):
-    """Finite traces on an exact 2**-3 s grid with arbitrary other values, speeds made non-negative."""
+    """Valid traces on an exact 2**-3 s grid with arbitrary other finite values.
+
+    Speeds are made non-negative, and both x values of a row are halved
+    where their gap would overflow.
+    """
     n = draw(st.integers(2, 8))
     rows = [[k * 0.125] + [draw(finite_values) for _ in range(6)] for k in range(n)]
     for row in rows:
         for j in (2, 5):
             if row[j] < 0.0:
                 row[j] = -row[j]
+        if not math.isfinite(row[1] - row[4]):
+            row[1], row[4] = row[1] / 2, row[4] / 2
     if not rows[0][1] - rows[0][4] > 0.0:
         rows[0][1], rows[0][4] = 1.0, 0.0
     return ScenarioTrace("r", np.array(rows))
