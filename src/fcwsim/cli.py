@@ -17,7 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-# numpy's OpenBLAS starts a thread per core at import; the only BLAS calls here are 2x2 products it never splits.
+# numpy's OpenBLAS starts a thread per core at import; the only BLAS calls here are the Kalman correction's 2x2
+# products, which it never splits.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .camp_linear import CampParams

@@ -171,8 +171,9 @@ def _sweep(
     Runs are grouped by trace length and sample period, so each trace
     steps at its own period. A group's runs have shape (PER, scenario,
     seed) and its per-scenario arrays are shaped (steps, 1, scenario, 1)
-    so step k broadcasts over the runs. Each mask is drawn once, and a
-    cell aggregates its runs in (scenario, seed) order.
+    so a block of steps broadcasts over the runs. Warnings are evaluated
+    and counted once per block `estimate_batch` yields. Each mask is drawn
+    once, and a cell aggregates its runs in (scenario, seed) order.
     Truth warnings come from `truth` ({id: decisions}) when given, else
     from the same batched warning evaluation on the exact LV states.
     """
@@ -211,12 +212,12 @@ def _sweep(
         for members, t_s, lv, fv, truth_warn, delivered in groups:
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
-            estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
-            for k, (x, v, a) in enumerate(estimates):
-                gap = x - fv[0][k] - cfg.camp.length_offset
-                warn = warn_batch(gap, fv[1][k], fv[2][k], v, a, cfg.camp)
-                ch += truth_warn[k] & warn
-                n_warn += warn
+            for k0, x, v, a in estimate_batch(*lv, delivered, kind, t_s, cfg.kalman):
+                block = slice(k0, k0 + len(x))
+                gap = x - fv[0][block] - cfg.camp.length_offset
+                warn = warn_batch(gap, fv[1][block], fv[2][block], v, a, cfg.camp)
+                ch += (truth_warn[block] & warn).sum(axis=0)
+                n_warn += warn.sum(axis=0)
             n_truth = truth_warn.sum(axis=0)
             is_ = n_truth - ch
             ih = n_warn - ch

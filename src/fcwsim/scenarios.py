@@ -63,7 +63,7 @@ class ScenarioTrace:
             raise ValueError(f"trace {self.id}: data must have shape (steps, 7), got {data.shape}")
         if len(data) < 2:
             raise ValueError(f"trace {self.id}: needs at least 2 steps, got {len(data)}")
-        fault = _bad_value(data) or _bad_timing(data[:, 0])
+        fault = _bad_value(data) or _bad_timing(data[:, 0]) or _bad_reach(data)
         if fault:
             raise ValueError(f"trace {self.id}: step {fault[0]}: {fault[1]}")
         if float(data[0, 1]) - float(data[0, 4]) <= 0.0:
@@ -131,6 +131,25 @@ def _bad_timing(t: np.ndarray) -> tuple[int, str] | None:
         return None
     k = int(off.argmax())
     return k + 1, f"non-uniform sampling (dt={float(dt[k])}, expected {t_s})"
+
+
+def _bad_reach(data: np.ndarray) -> tuple[int, str] | None:
+    """First step from which a vehicle's CV/CA prediction over the trace's duration could overflow.
+
+    From a row (x, v, a), dead reckoning reaches at most |x| + |v| T + |a| T^2 / 2
+    within the duration T. Four times that must be finite for both vehicles,
+    so an estimated position and its gap to the other vehicle stay finite,
+    with room for rounding.
+    """
+    duration = float(data[-1, 0])
+    x, v, a = (np.abs(data[:, (j, j + 3)]) for j in (1, 2, 3))  # (steps, vehicle) each, LV first
+    with np.errstate(over="ignore"):  # an overflowing reach is inf
+        bad = ~np.isfinite(4.0 * (x + v * duration + a * duration * duration / 2))
+    if not bad.any():
+        return None
+    k, vehicle = divmod(int(bad.argmax()), 2)
+    state = ", ".join(f"{CSV_COLUMNS[j]}={float(data[k, j])}" for j in range(1 + 3 * vehicle, 4 + 3 * vehicle))
+    return k, f"dead reckoning from {state} could overflow within the trace's {duration} s"
 
 
 @dataclass(frozen=True)
@@ -266,7 +285,8 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
 
     Faults confined to one row (field count, non-numeric, non-finite, negative
     speed, overflowing x_lv - x_fv) are reported for the first such row;
-    faults of the sequence (row count, time origin, sampling, initial gap) after them.
+    faults of the sequence (row count, time origin, sampling, a row whose
+    state could dead-reckon to overflow, initial gap) after them.
     """
     path = Path(path)
     try:
@@ -311,7 +331,7 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
         raise TraceFormatError(f"{path}: {parse_error}")
     if len(data) < 2:
         raise TraceFormatError(f"{path}: needs at least 2 data rows, got {len(data)}")
-    fault = _bad_timing(data[:, 0])
+    fault = _bad_timing(data[:, 0]) or _bad_reach(data)
     if fault:
         raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     try:

@@ -7,9 +7,11 @@ Estimates must agree bit for bit, warnings and aggregated cells exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcwsim import estimators
 from fcwsim.camp_linear import CampParams, evaluate, warn_batch
 from fcwsim.channel import apply_mask
 from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
@@ -77,7 +79,11 @@ def test_kernel_matches_scalar_oracle_run_by_run(data, fleet, camp):
         truth = warn_batch(lv[0] - fv_x - off, fv_v, fv_a, lv[1], lv[2], camp)[:, 0]
         assert truth.tolist() == [d.warn for d in truth_decisions(trace, camp)]
         for kind, kcfg in CONFIGS:
-            steps = list(estimate_batch(*lv, delivered, kind, trace.t_s, kcfg))
+            steps = []
+            for k0, x, v, a in estimate_batch(*lv, delivered, kind, trace.t_s, kcfg):
+                assert k0 == len(steps)
+                steps.extend(zip(x, v, a))
+            assert len(steps) == len(trace)
             warns = [warn_batch(x - fv_x[k] - off, fv_v[k], fv_a[k], v, a, camp) for k, (x, v, a) in enumerate(steps)]
             for m, mask in enumerate(masks):
                 oracle = estimate_stream(apply_mask(trace.lv, mask), kind, SampleClock(trace.t_s), kcfg)
@@ -88,9 +94,22 @@ def test_kernel_matches_scalar_oracle_run_by_run(data, fleet, camp):
                     assert warns[k][m] == decision.warn, (kind, k, mask)
 
 
-@settings(max_examples=30, deadline=None)
-@given(fleet=fleets(), camp=camps, seeds=st.integers(1, 3), master_seed=st.integers(0, 2**32))
-def test_sweep_matches_scalar_runs(fleet, camp, seeds, master_seed):
+# Blocks of 1, 2 and 7 run-steps put block boundaries mid-trace, leave a
+# partial last block and make a block shorter than one step's runs; almost
+# every drawn fleet does all three, so those sizes need fewer examples.
+@pytest.mark.parametrize(
+    "block, examples",
+    [pytest.param(block, examples, id=f"block{block}") for block, examples in ((estimators.BLOCK, 30), (1, 10), (2, 10), (7, 10))],
+)
+def test_sweep_matches_scalar_runs(block, examples, monkeypatch):
+    monkeypatch.setattr(estimators, "BLOCK", block)
+    check = given(fleet=fleets(), camp=camps, seeds=st.integers(1, 3), master_seed=st.integers(0, 2**32))(
+        _check_sweep_against_scalar_runs
+    )
+    settings(max_examples=examples, deadline=None)(check)()
+
+
+def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
     pers = (0.0, 0.4, 1.0)
     for q, r in KALMAN_TUNINGS:
         cfg = RunConfig(pers=pers, seeds=seeds, camp=camp, kalman=KalmanConfig(q=q, r=r), master_seed=master_seed)
@@ -108,3 +127,15 @@ def test_sweep_matches_scalar_runs(fleet, camp, seeds, master_seed):
         for cell in expected:
             assert run_cell(fleet, cell.estimator, cell.per, cfg) == cell
             assert run_cell(fleet, cell.estimator, cell.per, cfg, truth) == cell
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_estimate_overflow_inside_a_block_is_rejected(kind):
+    # From x = 1e308, v = 5e307 with nothing delivered after slot 0, step 1
+    # is finite and step 2 overflows, inside the one block of 5 steps.
+    n = 5
+    lv = [np.full((n, 1), value) for value in (1e308, 5e307, 0.0)]
+    delivered = np.zeros((n, 1), dtype=bool)
+    delivered[0] = True
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite vehicle state estimate"):
+        list(estimate_batch(*lv, delivered, kind, 1.0))

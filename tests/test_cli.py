@@ -246,3 +246,19 @@ def test_run_replays_seed_index_zero_of_sweep(tmp_path, capsys):
         cell, = json.loads((tmp_path / "sweep" / "summary.json").read_text())["cells"]
         assert cell["mean_accuracy"] == (ch + cs) / (ch + cs + is_ + ih)
         assert cell["mean_tp"] == ch / (ch + is_)
+
+
+def test_fleet_that_dead_reckons_to_overflow_is_parse_error(tmp_path, capsys):
+    fleet = tmp_path / "fleet"
+    assert main(["gen", "--n", "2", "--seed", "1", "--out", str(fleet)]) == 0
+    path = fleet / "s0001.csv"
+    header, *rows = path.read_text().splitlines()
+    # Every value and every x_lv - x_fv stays finite, but one lost slot dead-reckons x_lv to inf.
+    rows = [",".join((t, "1.7e308", "1e308", "0", "0", v_fv, "0")) for t, *_, v_fv, _ in (row.split(",") for row in rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    run = ["run", "--fleet", str(fleet), "--scenario", "s0001", "--per", "0.5", "--out", str(tmp_path / "x.csv")]
+    sweep = ["sweep", "--fleet", str(fleet), "--seeds", "1", "--per", "0.5", "--out", str(tmp_path / "out")]
+    for argv in (run + ["--estimator", "cv"], run + ["--estimator", "kalman"], sweep):
+        assert main(argv) == 3
+        assert "s0001.csv: row 2: dead reckoning from x_lv=1.7e+308, v_lv=1e+308, a_lv=0.0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,17 +280,21 @@ finite_values = st.one_of(
 def random_traces(draw):
     """Valid traces on an exact 2**-3 s grid with arbitrary other finite values.
 
-    Speeds are made non-negative, and both x values of a row are halved
-    where their gap would overflow.
+    Speeds are made non-negative. A row from which either vehicle could
+    dead-reckon to overflow over the trace's duration (four times
+    |x| + |v| T + |a| T^2 / 2 not finite) is divided by 16, which also
+    keeps its gap finite.
     """
     n = draw(st.integers(2, 8))
+    duration = (n - 1) * 0.125
     rows = [[k * 0.125] + [draw(finite_values) for _ in range(6)] for k in range(n)]
     for row in rows:
         for j in (2, 5):
             if row[j] < 0.0:
                 row[j] = -row[j]
-        if not math.isfinite(row[1] - row[4]):
-            row[1], row[4] = row[1] / 2, row[4] / 2
+        reach = [abs(x) + abs(v) * duration + abs(a) * duration * duration / 2 for x, v, a in (row[1:4], row[4:7])]
+        if not math.isfinite(4.0 * max(reach)):
+            row[1:] = [value / 16 for value in row[1:]]
     if not rows[0][1] - rows[0][4] > 0.0:
         rows[0][1], rows[0][4] = 1.0, 0.0
     return ScenarioTrace("r", np.array(rows))
@@ -405,3 +410,22 @@ def test_load_fleet_rejects_manifest_period_mismatch(tmp_path):
     for load in (load_fleet, _load_first):
         with pytest.raises(TraceFormatError, match="t_s 0.2 != sample period 0.1"):
             load(fleet_dir)
+
+
+def test_state_that_dead_reckons_to_overflow_is_rejected(tmp_path):
+    # Over the 20 s trace, 4 * (|x| + |v| T + |a| T^2 / 2) must stay finite for both vehicles.
+    ok = np.array([[0.0, 200.0, 10.0, 0.0, 0.0, 8.0, 0.0], [10.0, 300.0, 10.0, 0.0, 80.0, 8.0, 0.0],
+                   [20.0, 400.0, 10.0, 0.0, 160.0, 8.0, 0.0]])
+    assert ScenarioTrace("edge", with_value(ok, 1, 1, 4e307)).t_s == 10.0
+    cases = [
+        (with_value(ok, 1, 1, 4.5e307), "step 1: dead reckoning from x_lv=4.5e+307, v_lv=10.0, a_lv=0.0"),
+        (with_value(ok, 2, 2, 1e307), "step 2: dead reckoning from x_lv=400.0, v_lv=1e+307"),
+        (with_value(ok, 1, 6, -1e306), "step 1: dead reckoning from x_fv=80.0, v_fv=8.0, a_fv=-1e+306"),
+    ]
+    for data, fragment in cases:
+        with pytest.raises(ValueError, match=re.escape(f"trace r: {fragment}")):
+            ScenarioTrace("r", data)
+        path = tmp_path / "r.csv"
+        path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n" + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
+        with pytest.raises(TraceFormatError, match=re.escape(fragment.replace("step 1", "row 3").replace("step 2", "row 4"))):
+            load_csv(path)
