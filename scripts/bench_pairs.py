@@ -1,11 +1,12 @@
 """Paired timing of `fcwsim sweep` for two source trees; writes a BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_11.json [--pairs 10]
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_11.json
 
 PARENT and CHANGE are repository roots whose `src/` holds the fcwsim
 package. Every timed job is a fresh `python -m fcwsim.cli` process (with
-the workers it reaps), and the two trees run alternately: pair i runs the
-parent first for odd i, the change first for even i. The jobs:
+the workers it reaps), and the two trees run alternately for PAIRS pairs:
+pair i runs the parent first for odd i, the change first for even i. The
+jobs:
 
   - grid-full: `sweep --estimators cv,ca,kalman --per 0.0:0.9:0.1 --seeds 1`
     on `gen --n 20` (fleet built once, untimed);
@@ -40,6 +41,7 @@ JOBS = {  # name: (fleet size, whether `gen` is timed, sweep flags)
     "deadreckon-par": (100, False, SWEEP_DEADRECKON),
     "default": (100, True, []),
 }
+PAIRS = 10  # a gain counts when the change wins 9 of 10 pairs
 
 
 def cli(tree: Path, args: list[str]) -> tuple[float, float]:
@@ -79,7 +81,6 @@ def main() -> None:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times = {name: {side: ([], []) for side in trees} for name in JOBS}
@@ -87,7 +88,7 @@ def main() -> None:
         work = {side: Path(tmp) / side for side in trees}
         for path in work.values():
             path.mkdir()
-        for i in range(1, args.pairs + 1):
+        for i in range(1, PAIRS + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for name in JOBS:
                 for side in order:
@@ -98,12 +99,12 @@ def main() -> None:
                     a, b = (work[side] / f"{name}-out" / summary for side in trees)
                     if a.read_bytes() != b.read_bytes():
                         raise RuntimeError(f"{name}: {summary} differs between the trees")
-            print(f"pair {i}/{args.pairs} done", file=sys.stderr)
+            print(f"pair {i}/{PAIRS} done", file=sys.stderr)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                    capture_output=True, text=True, check=True).stdout.strip()
     result = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy_version},
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "src_lines": {side: sum(len(p.read_text().splitlines()) for p in (tree / "src" / "fcwsim").glob("*.py"))
                       for side, tree in trees.items()},
         "jobs": {
