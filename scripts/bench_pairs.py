@@ -1,6 +1,6 @@
 """Paired timing of `fcwsim sweep` for two source trees; writes a BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_11.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_12.json
 
 PARENT and CHANGE are repository roots whose `src/` holds the fcwsim
 package. Every timed job is a fresh `python -m fcwsim.cli` process (with
@@ -14,10 +14,11 @@ jobs:
     --jobs 2` on `gen --n 100` (fleet built once, untimed);
   - default: `gen --n 100 --seed 0` plus the default `sweep`, both timed.
 
-Each job's summary files must be byte-identical between the trees. The
-JSON holds, per job and tree, the median and quartiles of wall and CPU
-seconds and every run, the pairs the change won, `nproc`, the Python and
-numpy versions and each tree's `src/fcwsim` line count.
+Each job's summary files must be byte-identical between the trees, and
+so must the step logs of a few untimed `run` calls (RUNS) on the default
+job's fleet. The JSON holds, per job and tree, the median and quartiles
+of wall and CPU seconds and every run, the pairs the change won, `nproc`,
+the Python and numpy versions and each tree's `src/fcwsim` line count.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ JOBS = {  # name: (fleet size, whether `gen` is timed, sweep flags)
     "default": (100, True, []),
 }
 PAIRS = 10  # a gain counts when the change wins 9 of 10 pairs
+RUNS = [  # untimed `run` calls on the default fleet, whose step logs must match
+    ["--scenario", "s0011", "--estimator", "kalman", "--per", "0.2", "--seed", "3"],
+    ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"],
+    ["--scenario", "s0042", "--estimator", "ca", "--per", "0.9", "--seed", "1"],
+]
 
 
 def cli(tree: Path, args: list[str]) -> tuple[float, float]:
@@ -69,6 +75,18 @@ def job(tree: Path, work: Path, name: str) -> tuple[float, float]:
             wall = cpu = 0.0
     sweep_wall, sweep_cpu = cli(tree, ["sweep", "--fleet", str(fleet), *flags, "--out", str(out)])
     return wall + sweep_wall, cpu + sweep_cpu
+
+
+def check_step_logs(trees: dict[str, Path], work: dict[str, Path]) -> None:
+    """Run each of RUNS from both trees on their default fleets; their step logs must be equal."""
+    for flags in RUNS:
+        logs = []
+        for side, tree in trees.items():
+            log = work[side] / "step_log.csv"
+            cli(tree, ["run", "--fleet", str(work[side] / "default-fleet"), *flags, "--out", str(log)])
+            logs.append(log.read_bytes())
+        if logs[0] != logs[1]:
+            raise RuntimeError(f"run {' '.join(flags)}: step log differs between the trees")
 
 
 def spread(values: list[float]) -> dict:
@@ -100,6 +118,7 @@ def main() -> None:
                     if a.read_bytes() != b.read_bytes():
                         raise RuntimeError(f"{name}: {summary} differs between the trees")
             print(f"pair {i}/{PAIRS} done", file=sys.stderr)
+        check_step_logs(trees, work)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                    capture_output=True, text=True, check=True).stdout.strip()
     result = {

@@ -20,9 +20,11 @@ Kalman plant, state X = [v; x]:
 
 Received speeds are not measurements; they only seed the state at the
 first delivered slot. During loss the filter runs predict-only with the
-held input. The covariance prediction F P F^T + Q is written out entry
-by entry (`_predict_cov`); only the correction's Joseph product calls
-numpy's matrix product.
+held input. `kalman_predict` and `kalman_correct` step one run or many
+(leading run axes), so `estimate_stream` and `estimate_batch` run the same
+filter code. The covariance prediction F P F^T + Q is written out entry
+by entry; only the correction's Joseph product calls numpy's matrix
+product.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import ReceivedSlot
-from .errors import ConfigError
+from .errors import ConfigError, TraceFormatError
 from .kinematics import (
     SampleClock,
     VehicleState,
@@ -82,11 +84,15 @@ class KalmanConfig:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter state: mean [v; x], 2x2 covariance, held acceleration input."""
+    """Filter state: mean [v; x], 2x2 covariance, held acceleration input.
+
+    One run holds mean (2,), cov (2, 2) and a float input; many runs add the
+    same leading run axes to each: mean [..., 2], cov [..., 2, 2], input [...].
+    """
 
     mean: np.ndarray
     cov: np.ndarray
-    held_input: float
+    held_input: float | np.ndarray
 
 
 def cv_predict(est: VehicleState, dt: float) -> VehicleState:
@@ -116,50 +122,42 @@ def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
     The mean update is F @ mean + G @ u, written out in the same expression
     order as the kinematic step functions so that loss-free streams over
     model-consistent data replay the sender's trajectory bit-identically.
+
+    F @ cov @ F.T + Q is written out entry by entry. Each entry of F @ cov
+    and of (F @ cov) @ F.T is a sum a0*b0 + a1*b1 in which a1*b1 is exact,
+    its F factor being 1 or 0. OpenBLAS computes the entry as
+    fma(a1, b1, a0*b0), which is then the one rounded add written below,
+    so the result is bitwise the matrix products' without a BLAS call per
+    2x2.
     """
-    v, x = float(s.mean[0]), float(s.mean[1])
-    u = s.held_input
-    mean = np.array([v + u * dt, x + v * dt + 0.5 * u * dt * dt])
-    return KalmanState(mean, _predict_cov(s.cov, dt, _process_noise(q, dt)), s.held_input)
-
-
-def _process_noise(q: float, dt: float) -> np.ndarray:
+    v, x, u = s.mean[..., 0], s.mean[..., 1], s.held_input
+    mean = np.empty(s.mean.shape)
+    mean[..., 0], mean[..., 1] = v + u * dt, x + v * dt + 0.5 * u * dt * dt
     half = 0.5 * dt * dt
-    return q * np.array([[dt, half], [half, dt ** 3 / 3.0]])
-
-
-def _predict_cov(cov: np.ndarray, dt: float, qm: np.ndarray) -> np.ndarray:
-    """F @ cov @ F.T + qm for F = [[1, 0], [dt, 1]], over cov's last two axes.
-
-    Each entry of F @ cov and of (F @ cov) @ F.T is a sum a0*b0 + a1*b1
-    in which a1*b1 is exact, its F factor being 1 or 0. OpenBLAS computes
-    the entry as fma(a1, b1, a0*b0), which is then the one rounded add
-    written below, so the result is bitwise the matrix products' without
-    a BLAS call per 2x2.
-    """
-    p00, p01, p10, p11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1]
+    qm = q * np.array([[dt, half], [half, dt ** 3 / 3.0]])
+    p00, p01, p10, p11 = s.cov[..., 0, 0], s.cov[..., 0, 1], s.cov[..., 1, 0], s.cov[..., 1, 1]
     fp10 = dt * p00 + p10
-    out = np.empty(cov.shape)
-    out[..., 0, 0] = p00 + qm[0, 0]
-    out[..., 0, 1] = (p00 * dt + p01) + qm[0, 1]
-    out[..., 1, 0] = fp10 + qm[1, 0]
-    out[..., 1, 1] = (fp10 * dt + (dt * p01 + p11)) + qm[1, 1]
-    return out
+    cov = np.empty(s.cov.shape)
+    cov[..., 0, 0] = p00 + qm[0, 0]
+    cov[..., 0, 1] = (p00 * dt + p01) + qm[0, 1]
+    cov[..., 1, 0] = fp10 + qm[1, 0]
+    cov[..., 1, 1] = (fp10 * dt + (dt * p01 + p11)) + qm[1, 1]
+    return KalmanState(mean, cov, s.held_input)
 
 
-def kalman_correct(s: KalmanState, measured_x: float, r: float) -> KalmanState:
+def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, r: float) -> KalmanState:
     """Measurement update with a received position; Joseph-form covariance."""
-    if not math.isfinite(measured_x):
+    if not np.isfinite(measured_x).all():
         raise ValueError(f"non-finite measurement: {measured_x}")
     if r <= 0.0:
         raise ValueError(f"measurement variance must be > 0: {r}")
-    innovation_var = s.cov[1, 1] + r
-    gain = s.cov[:, 1] / innovation_var
-    mean = s.mean + gain * (measured_x - s.mean[1])
-    ikc = np.eye(2)
-    ikc[:, 1] -= gain
-    cov = ikc @ s.cov @ ikc.T + r * np.outer(gain, gain)
-    cov = 0.5 * (cov + cov.T)
+    gain = s.cov[..., :, 1] / (s.cov[..., 1:, 1] + r)
+    mean = s.mean + gain * (measured_x - s.mean[..., 1])[..., None]
+    ikc = np.empty_like(s.cov)
+    ikc[..., 0, 0], ikc[..., 1, 0] = 1.0, 0.0
+    ikc[..., 0, 1], ikc[..., 1, 1] = 0.0 - gain[..., 0], 1.0 - gain[..., 1]
+    cov = ikc @ s.cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     return KalmanState(mean, cov, s.held_input)
 
 
@@ -195,6 +193,7 @@ def estimate_stream(
     return estimates
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as a non-finite mean
 def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig) -> list[VehicleState]:
     s = kalman_init(slots[0].state, kcfg)
     estimates = [kalman_emit(s)]
@@ -205,6 +204,9 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
             s = kalman_correct(s, received.x, kcfg.r)
             # The newly received acceleration drives predictions from here on.
             s = KalmanState(s.mean, s.cov, received.a)
+        if not np.isfinite(s.mean).all():
+            raise TraceFormatError(f"non-finite vehicle state estimate at step {slot.slot}: "
+                                   f"v={s.mean[0]}, x={s.mean[1]} (the LV trace overflows the kalman estimator)")
         estimates.append(kalman_emit(s))
     return estimates
 
@@ -226,9 +228,10 @@ def estimate_batch(
     blocks of steps: x[i], v[i], a[i] are the estimates of step k0 + i,
     each block array is shaped (steps in block, *run shape) and newly
     allocated. Each run's estimates are bitwise those `estimate_stream`
-    gives for its slots: the updates are the scalar expressions applied
-    elementwise, the covariance prediction is the same `_predict_cov`, and
-    the correction's 2x2 matrix products are stacked over runs.
+    gives for its slots: the dead-reckoning updates are the scalar
+    expressions applied elementwise, and the Kalman filter is the same
+    `kalman_predict` and `kalman_correct`, with the correction kept where
+    the slot was delivered. An estimate that overflows is a TraceFormatError.
     """
     if len(delivered) == 0 or not delivered[0].all():
         raise ValueError("estimate_batch requires every run's slot 0 delivered")
@@ -242,10 +245,12 @@ def estimate_batch(
     size = max(1, BLOCK // max(1, delivered[0].size))
     for k0 in range(0, n_steps, size):
         block = np.empty((3, min(size, n_steps - k0), *run_shape))
-        for i, (x, v, a) in enumerate(islice(steps, block.shape[1])):
-            block[0, i], block[1, i], block[2, i] = x, v, a
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block
+            for i, (x, v, a) in enumerate(islice(steps, block.shape[1])):
+                block[0, i], block[1, i], block[2, i] = x, v, a
         if not np.isfinite(block).all():
-            raise ValueError("non-finite vehicle state estimate")
+            raise TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + block.shape[1] - 1} "
+                                   f"(the LV trace overflows the {kind.value} estimator)")
         yield k0, block[0], block[1], block[2]
 
 
@@ -261,28 +266,16 @@ def _dead_reckon_steps(x, v, a, rest, dt: float, constant_velocity: bool):
         yield x, v, a
 
 
-def _kalman_steps(mean_x, mean_v, held, rest, dt: float, kcfg: KalmanConfig):
-    cov = np.broadcast_to(np.eye(2) * kcfg.p0, mean_x.shape + (2, 2))
-    yield mean_x, _clamp_at_rest(mean_v), held
-    qm = _process_noise(kcfg.q, dt)
-    r = kcfg.r
+def _kalman_steps(x, v, a, rest, dt: float, kcfg: KalmanConfig):
+    s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, x.shape + (2, 2)), a)
+    yield x, _clamp_at_rest(v), a
     for d, rx, _, ra in rest:
-        # predict (kalman_predict)
-        mean_v, mean_x = mean_v + held * dt, mean_x + mean_v * dt + 0.5 * held * dt * dt
-        cov = _predict_cov(cov, dt, qm)
-        # correct (kalman_correct), kept only where the slot was delivered
-        gain = cov[..., :, 1] / (cov[..., 1, 1] + r)[..., None]
-        innovation = rx - mean_x
-        ikc = np.empty_like(cov)
-        ikc[..., 0, 0], ikc[..., 1, 0] = 1.0, 0.0
-        ikc[..., 0, 1], ikc[..., 1, 1] = 0.0 - gain[..., 0], 1.0 - gain[..., 1]
-        corrected = ikc @ cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
-        corrected = 0.5 * (corrected + corrected.swapaxes(-1, -2))
-        mean_v = np.where(d, mean_v + gain[..., 0] * innovation, mean_v)
-        mean_x = np.where(d, mean_x + gain[..., 1] * innovation, mean_x)
-        cov = np.where(d[..., None, None], corrected, cov)
-        held = np.where(d, ra, held)
-        yield mean_x, _clamp_at_rest(mean_v), held
+        predicted = kalman_predict(s, dt, kcfg.q)
+        corrected = kalman_correct(predicted, rx, kcfg.r)  # kept only where the slot was delivered
+        s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
+                        np.where(d[..., None, None], corrected.cov, predicted.cov),
+                        np.where(d, ra, s.held_input))
+        yield s.mean[..., 1], _clamp_at_rest(s.mean[..., 0]), s.held_input
 
 
 def _clamp_at_rest(v: np.ndarray) -> np.ndarray:

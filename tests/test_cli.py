@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fcwsim.cli import main, parse_estimators, parse_per_grid
 from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind
+from fcwsim.scenarios import ScenarioTrace, save_fleet
 
 
 @pytest.fixture()
@@ -262,3 +264,21 @@ def test_fleet_that_dead_reckons_to_overflow_is_parse_error(tmp_path, capsys):
         assert main(argv) == 3
         assert "s0001.csv: row 2: dead reckoning from x_lv=1.7e+308, v_lv=1e+308, a_lv=0.0" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
+
+
+def test_fleet_that_overflows_the_kalman_filter_is_parse_error(tmp_path, capsys):
+    # Each value dead-reckons within reach, but every delivered jump of 8e307 m
+    # is a huge innovation, and the corrected Kalman speed overflows at step 2.
+    data = np.zeros((151, 7))
+    data[:, 0] = np.arange(151) * 0.1
+    data[:, 1] = np.where(np.arange(151) % 2, -4e307, 4e307)
+    fleet = tmp_path / "fleet"
+    save_fleet([ScenarioTrace("s0000", data)], fleet)
+    run = ["run", "--fleet", str(fleet), "--scenario", "s0000", "--per", "0.0", "--out", str(tmp_path / "x.csv")]
+    sweep = ["sweep", "--fleet", str(fleet), "--seeds", "1", "--per", "0.0", "--out", str(tmp_path / "out")]
+    for argv in (run + ["--estimator", "kalman"], sweep):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite vehicle state estimate") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
+    assert main(run + ["--estimator", "cv"]) == 0

@@ -87,6 +87,9 @@ def test_kalman_correct_rejects_bad_inputs():
         kalman_correct(s, math.nan, 1.0)
     with pytest.raises(ValueError):
         kalman_correct(s, 0.0, 0.0)
+    runs = KalmanState(np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite measurement"):
+        kalman_correct(runs, np.array([0.0, math.nan, 1.0]), 1.0)
 
 
 def test_kalman_emit_mapping():
