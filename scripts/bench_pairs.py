@@ -1,6 +1,6 @@
 """Paired timing of `fcwsim sweep` for two source trees; writes a BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_12.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
 PARENT and CHANGE are repository roots whose `src/` holds the fcwsim
 package. Every timed job is a fresh `python -m fcwsim.cli` process (with
@@ -15,10 +15,12 @@ jobs:
   - default: `gen --n 100 --seed 0` plus the default `sweep`, both timed.
 
 Each job's summary files must be byte-identical between the trees, and
-so must the step logs of a few untimed `run` calls (RUNS) on the default
-job's fleet. The JSON holds, per job and tree, the median and quartiles
-of wall and CPU seconds and every run, the pairs the change won, `nproc`,
-the Python and numpy versions and each tree's `src/fcwsim` line count.
+so must the step logs of a few untimed `run` calls (RUNS, covering every
+estimator) on the default job's fleet. The JSON holds, per job and tree,
+the median and quartiles of wall and CPU seconds and every run, the pairs
+the change won, `nproc`, the Python and numpy versions and each tree's
+`src/fcwsim` line count. Stdout gets one line per job: both trees'
+median CPU seconds, the pairs the change won and the line counts.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ RUNS = [  # untimed `run` calls on the default fleet, whose step logs must match
     ["--scenario", "s0011", "--estimator", "kalman", "--per", "0.2", "--seed", "3"],
     ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"],
     ["--scenario", "s0042", "--estimator", "ca", "--per", "0.9", "--seed", "1"],
+    ["--scenario", "s0042", "--estimator", "cv", "--per", "0.9", "--seed", "1"],
 ]
 
 
@@ -139,6 +142,10 @@ def main() -> None:
         },
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    lines = result["src_lines"]
+    for name, r in result["jobs"].items():
+        print(f"{name}: CPU median {r['parent']['cpu_s']['median']:.3f} -> {r['change']['cpu_s']['median']:.3f} s, "
+              f"change wins {r['change_wins']['cpu_s']}/{PAIRS}, src_lines {lines['parent']} -> {lines['change']}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,11 @@ held input. `kalman_predict` and `kalman_correct` step one run or many
 filter code. The covariance prediction F P F^T + Q is written out entry
 by entry; only the correction's Joseph product calls numpy's matrix
 product.
+
+`estimate_stream` steps one run through the scalar functions and is the
+reference. `estimate_batch` steps many runs in one loop: each step
+predicts every run, then keeps the received state (for Kalman, the
+correction) where the slot was delivered.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -230,54 +234,40 @@ def estimate_batch(
     allocated. Each run's estimates are bitwise those `estimate_stream`
     gives for its slots: the dead-reckoning updates are the scalar
     expressions applied elementwise, and the Kalman filter is the same
-    `kalman_predict` and `kalman_correct`, with the correction kept where
-    the slot was delivered. An estimate that overflows is a TraceFormatError.
+    `kalman_predict` and `kalman_correct`. An estimate that overflows is a
+    TraceFormatError whose `run` is the index of the first non-finite run.
     """
     if len(delivered) == 0 or not delivered[0].all():
         raise ValueError("estimate_batch requires every run's slot 0 delivered")
-    first = (np.broadcast_to(col[0], delivered.shape[1:]) for col in (lv_x, lv_v, lv_a))
-    rest = zip(delivered[1:], lv_x[1:], lv_v[1:], lv_a[1:])
-    if kind is EstimatorKind.KALMAN:
-        steps = _kalman_steps(*first, rest, dt, kcfg or KalmanConfig())
-    else:
-        steps = _dead_reckon_steps(*first, rest, dt, kind is EstimatorKind.CONSTANT_VELOCITY)
+    kcfg = kcfg or KalmanConfig()
     n_steps, run_shape = len(delivered), delivered.shape[1:]
+    x, v, a = (np.broadcast_to(col[0], run_shape) for col in (lv_x, lv_v, lv_a))
+    s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, run_shape + (2, 2)), a)
     size = max(1, BLOCK // max(1, delivered[0].size))
     for k0 in range(0, n_steps, size):
         block = np.empty((3, min(size, n_steps - k0), *run_shape))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block
-            for i, (x, v, a) in enumerate(islice(steps, block.shape[1])):
+            for i, k in enumerate(range(k0, k0 + block.shape[1])):
+                d = delivered[k]
+                if k and kind is EstimatorKind.KALMAN:
+                    predicted = kalman_predict(s, dt, kcfg.q)
+                    corrected = kalman_correct(predicted, lv_x[k], kcfg.r)  # kept only where the slot was delivered
+                    s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
+                                    np.where(d[..., None, None], corrected.cov, predicted.cov),
+                                    np.where(d, lv_a[k], s.held_input))
+                    x, v, a = s.mean[..., 1], s.mean[..., 0], s.held_input
+                elif k:
+                    if kind is EstimatorKind.CONSTANT_VELOCITY:
+                        px, pv, pa = x + v * dt, v, 0.0
+                    else:
+                        (px, pv), pa = step_ca_batch(x, v, a, dt), a
+                    x, v, a = np.where(d, lv_x[k], px), np.where(d, lv_v[k], pv), np.where(d, lv_a[k], pa)
                 block[0, i], block[1, i], block[2, i] = x, v, a
+            if kind is EstimatorKind.KALMAN:  # speed clamped at rest, as kalman_emit's max(0.0, v)
+                block[1] = np.where(block[1] > 0.0, block[1], 0.0)
         if not np.isfinite(block).all():
-            raise TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + block.shape[1] - 1} "
-                                   f"(the LV trace overflows the {kind.value} estimator)")
+            error = TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + block.shape[1] - 1} "
+                                     f"(the LV trace overflows the {kind.value} estimator)")
+            error.run = tuple(np.argwhere(~np.isfinite(block).all(axis=(0, 1)))[0])
+            raise error
         yield k0, block[0], block[1], block[2]
-
-
-def _dead_reckon_steps(x, v, a, rest, dt: float, constant_velocity: bool):
-    yield x, v, a
-    for d, rx, rv, ra in rest:
-        if constant_velocity:
-            px, pv, pa = x + v * dt, v, 0.0
-        else:
-            px, pv = step_ca_batch(x, v, a, dt)
-            pa = a
-        x, v, a = np.where(d, rx, px), np.where(d, rv, pv), np.where(d, ra, pa)
-        yield x, v, a
-
-
-def _kalman_steps(x, v, a, rest, dt: float, kcfg: KalmanConfig):
-    s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, x.shape + (2, 2)), a)
-    yield x, _clamp_at_rest(v), a
-    for d, rx, _, ra in rest:
-        predicted = kalman_predict(s, dt, kcfg.q)
-        corrected = kalman_correct(predicted, rx, kcfg.r)  # kept only where the slot was delivered
-        s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
-                        np.where(d[..., None, None], corrected.cov, predicted.cov),
-                        np.where(d, ra, s.held_input))
-        yield s.mean[..., 1], _clamp_at_rest(s.mean[..., 0]), s.held_input
-
-
-def _clamp_at_rest(v: np.ndarray) -> np.ndarray:
-    """Elementwise max(0.0, v), with Python's choice of 0.0 for v <= 0."""
-    return np.where(v > 0.0, v, 0.0)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .camp_linear import CampParams, WarningDecision, evaluate, warn_batch
 from .channel import ChannelConfig, delivery_mask, transmit
-from .errors import ConfigError
+from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
 from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
@@ -148,34 +148,27 @@ def run_cell(
     truth: Optional[dict[str, list[WarningDecision]]] = None,
 ) -> SweepCell:
     """Aggregate one (estimator, PER) cell over all scenarios and seed indices, as `sweep` would."""
-    return _sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)), truth)[0]
+    return sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)), truth)[0]
 
 
-def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
-    """Full (estimator, PER) cross product, averaged over scenarios x seeds.
-
-    Cells are emitted in the configured (estimator, PER) order. Each
-    estimator steps all of its (PER, scenario, seed) runs through time
-    together, and every estimator reads the same loss masks.
-    """
-    return _sweep(fleet, cfg, None)
-
-
-def _sweep(
+def sweep(
     fleet: Sequence[ScenarioTrace],
     cfg: RunConfig,
-    truth: Optional[dict[str, list[WarningDecision]]],
+    truth: Optional[dict[str, list[WarningDecision]]] = None,
 ) -> list[SweepCell]:
-    """Step every (PER, scenario, seed) run of `cfg` as arrays; see `sweep`.
+    """Full (estimator, PER) cross product, averaged over scenarios x seeds.
 
-    Runs are grouped by trace length and sample period, so each trace
-    steps at its own period. A group's runs have shape (PER, scenario,
-    seed) and its per-scenario arrays are shaped (steps, 1, scenario, 1)
-    so a block of steps broadcasts over the runs. Warnings are evaluated
-    and counted once per block `estimate_batch` yields. Each mask is drawn
-    once, and a cell aggregates its runs in (scenario, seed) order.
-    Truth warnings come from `truth` ({id: decisions}) when given, else
-    from the same batched warning evaluation on the exact LV states.
+    Cells are emitted in the configured (estimator, PER) order, and a cell
+    aggregates its runs in (scenario, seed) order. Runs are grouped by
+    trace length and sample period, so each trace steps at its own period.
+    A group's runs have shape (PER, scenario, seed) and its per-scenario
+    arrays are shaped (steps, 1, scenario, 1) so a block of steps
+    broadcasts over the runs. Each group's loss masks are drawn once, and
+    every estimator steps all of the group's runs through time together on
+    them, before the next group's arrays are built. Warnings are evaluated
+    and counted once per block `estimate_batch` yields. Truth warnings come
+    from `truth` ({id: decisions}) when given, else from the same batched
+    warning evaluation on the exact LV states.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
@@ -188,7 +181,7 @@ def _sweep(
     by_shape: dict[tuple[int, float], list[int]] = {}
     for i, trace in enumerate(fleet):
         by_shape.setdefault((len(trace), trace.t_s), []).append(i)
-    groups = []
+    counts = np.zeros((len(cfg.estimators), len(cfg.pers), len(fleet), cfg.seeds, 4), dtype=np.int64)
     for (n_steps, t_s), members in by_shape.items():
         traces = [fleet[i] for i in members]
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
@@ -204,29 +197,29 @@ def _sweep(
                 for j in range(cfg.seeds):
                     seed = derive_seed(cfg.master_seed, t.id, per, j)
                     delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
-        groups.append((members, t_s, lv, fv, truth_warn, delivered))
-
-    cells = []
-    for kind in cfg.estimators:
-        counts = np.zeros((len(cfg.pers), len(fleet), cfg.seeds, 4), dtype=np.int64)
-        for members, t_s, lv, fv, truth_warn, delivered in groups:
+        n_truth = truth_warn.sum(axis=0)
+        for kind_counts, kind in zip(counts, cfg.estimators):
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
-            for k0, x, v, a in estimate_batch(*lv, delivered, kind, t_s, cfg.kalman):
-                block = slice(k0, k0 + len(x))
-                gap = x - fv[0][block] - cfg.camp.length_offset
-                warn = warn_batch(gap, fv[1][block], fv[2][block], v, a, cfg.camp)
-                ch += (truth_warn[block] & warn).sum(axis=0)
-                n_warn += warn.sum(axis=0)
-            n_truth = truth_warn.sum(axis=0)
+            try:
+                for k0, x, v, a in estimate_batch(*lv, delivered, kind, t_s, cfg.kalman):
+                    block = slice(k0, k0 + len(x))
+                    gap = x - fv[0][block] - cfg.camp.length_offset
+                    warn = warn_batch(gap, fv[1][block], fv[2][block], v, a, cfg.camp)
+                    ch += (truth_warn[block] & warn).sum(axis=0)
+                    n_warn += warn.sum(axis=0)
+            except TraceFormatError as exc:  # an estimate overflowed: name the run's scenario
+                raise TraceFormatError(f"{exc} in scenario {traces[exc.run[1]].id}") from exc
             is_ = n_truth - ch
             ih = n_warn - ch
-            cs = len(delivered) - ch - is_ - ih
-            counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
-        for per, per_counts in zip(cfg.pers, counts):
-            summary = aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()])
-            cells.append(SweepCell(kind, per, summary, len(fleet), cfg.seeds))
-    return cells
+            cs = n_steps - ch - is_ - ih
+            kind_counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
+    return [
+        SweepCell(kind, per, aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()]),
+                  len(fleet), cfg.seeds)
+        for kind, kind_counts in zip(cfg.estimators, counts)
+        for per, per_counts in zip(cfg.pers, kind_counts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,7 @@ def write_summary_json(cells: Sequence[SweepCell], cfg: RunConfig, path: Path | 
                 "per": cell.per,
                 "n_scenarios": cell.n_scenarios,
                 "n_seeds": cell.n_seeds,
-                **{name: value for name, value in asdict(cell.summary).items() if name != "n_runs"},
+                **asdict(cell.summary),
             }
             for cell in cells
         ],

@@ -56,7 +56,6 @@ class MetricSummary:
     mean_accuracy: Optional[float]
     tp_std: Optional[float]
     accuracy_std: Optional[float]
-    n_runs: int
     n_undefined_tp: int
     n_undefined_accuracy: int
 
@@ -73,7 +72,6 @@ def aggregate(runs: Sequence[ConfusionCounts]) -> MetricSummary:
         mean_accuracy=sum(accs) / len(accs) if accs else None,
         tp_std=_std(tps),
         accuracy_std=_std(accs),
-        n_runs=n,
         n_undefined_tp=n - len(tps),
         n_undefined_accuracy=n - len(accs),
     )

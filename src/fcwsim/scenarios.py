@@ -395,7 +395,7 @@ def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]
     if not isinstance(entries, list) or not entries:
         raise TraceFormatError(f"{manifest_path}: no scenarios listed")
     t_s = manifest.get("t_s")
-    if t_s is not None and not (isinstance(t_s, (int, float)) and math.isfinite(t_s)):
+    if t_s is not None and not (type(t_s) in (int, float) and math.isfinite(t_s)):  # a bool is no period
         raise TraceFormatError(f"{manifest_path}: invalid t_s {t_s!r}")
     root = fleet_dir.resolve()
     files = {}

@@ -132,10 +132,13 @@ def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
 @pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_estimate_overflow_inside_a_block_is_rejected(kind):
     # From x = 1e308, v = 5e307 with nothing delivered after slot 0, step 1
-    # is finite and step 2 overflows, inside the one block of 5 steps.
+    # is finite and step 2 overflows, inside the one block of 5 steps. Run 0
+    # starts at rest and stays finite, so the error names run 1.
     n = 5
-    lv = [np.full((n, 1), value) for value in (1e308, 5e307, 0.0)]
-    delivered = np.zeros((n, 1), dtype=bool)
+    lv = [np.tile([0.0, value], (n, 1)) for value in (1e308, 5e307, 0.0)]
+    delivered = np.zeros((n, 2), dtype=bool)
     delivered[0] = True
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite vehicle state estimate"):
+    overflow = pytest.raises(ValueError, match="non-finite vehicle state estimate")
+    with np.errstate(over="ignore", invalid="ignore"), overflow as error:
         list(estimate_batch(*lv, delivered, kind, 1.0))
+    assert error.value.run == (1,)

@@ -8,7 +8,7 @@ import pytest
 from fcwsim.cli import main, parse_estimators, parse_per_grid
 from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind
-from fcwsim.scenarios import ScenarioTrace, save_fleet
+from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet, save_fleet
 
 
 @pytest.fixture()
@@ -282,3 +282,12 @@ def test_fleet_that_overflows_the_kalman_filter_is_parse_error(tmp_path, capsys)
         assert err.startswith("error: non-finite vehicle state estimate") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
     assert main(run + ["--estimator", "cv"]) == 0
+    # In a fleet of several scenarios the sweep names the one that overflows. It is not the
+    # first of its (length, period) group, and its fleet index differs from its group index.
+    first, second = generate_fleet(GenConfig(n_scenarios=2, seed=1))
+    save_fleet([first, ScenarioTrace(second.id, second.data[:100]), ScenarioTrace("s0002", data)], tmp_path / "several")
+    sweep[2] = str(tmp_path / "several")
+    assert main(sweep) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite vehicle state estimate") and err.endswith(" in scenario s0002\n")
+    assert not (tmp_path / "out").exists()

@@ -362,6 +362,8 @@ def test_load_fleet_errors(tmp_path):
             ('{"scenarios": []}', "no scenarios"),
             ("[]", "no scenarios"),
             ('{"t_s": NaN, "scenarios": [{"id": "s0000", "file": "s0000.csv"}]}', "invalid t_s"),
+            ('{"t_s": true, "scenarios": [{"id": "s0000", "file": "s0000.csv"}]}', "invalid t_s"),
+            ('{"t_s": false, "scenarios": [{"id": "s0000", "file": "s0000.csv"}]}', "invalid t_s"),
             ('{"scenarios": [{"id": "s0000"}]}', "missing id/file"),
             ('{"scenarios": [{"id": "", "file": "s0000.csv"}, {"id": "s0000", "file": "s0000.csv"}]}',
              "missing id/file"),
