@@ -1,4 +1,4 @@
-"""Paired timing of `fcwsim sweep` for two source trees; writes a BENCH_<n>.json.
+"""Paired timing of fcwsim jobs for two source trees; writes a BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
@@ -12,15 +12,19 @@ jobs:
     on `gen --n 20` (fleet built once, untimed);
   - deadreckon-par: `sweep --estimators cv,ca --per 0.5:0.9:0.1 --seeds 2
     --jobs 2` on `gen --n 100` (fleet built once, untimed);
-  - default: `gen --n 100 --seed 0` plus the default `sweep`, both timed.
+  - default: `gen --n 100 --seed 0` plus the default `sweep`, both timed;
+  - run: one `run` call on `gen --n 100` (fleet built once, untimed), as
+    the benchmark's replay workload makes them.
 
-Each job's summary files must be byte-identical between the trees, and
-so must the step logs of a few untimed `run` calls (RUNS, covering every
-estimator) on the default job's fleet. The JSON holds, per job and tree,
-the median and quartiles of wall and CPU seconds and every run, the pairs
-the change won, `nproc`, the Python and numpy versions and each tree's
-`src/fcwsim` line count. Stdout gets one line per job: both trees'
-median CPU seconds, the pairs the change won and the line counts.
+Each job's outputs (summary files, or the step log) must be
+byte-identical between the trees, and so must the step logs of a few
+untimed `run` calls (RUNS, covering every estimator) on the default
+job's fleet. The JSON holds, per job and tree, the median and quartiles
+of wall and CPU seconds and of peak RSS (`ru_maxrss`, in MB) and every
+run, the pairs the change won, `nproc`, the Python and numpy versions
+and each tree's `src/fcwsim` line count. Stdout gets one line per job:
+both trees' median CPU seconds and peak RSS, the pairs the change won
+and the line counts.
 """
 
 from __future__ import annotations
@@ -39,12 +43,16 @@ from pathlib import Path
 
 SWEEP_GRID = ["--estimators", "cv,ca,kalman", "--per", "0.0:0.9:0.1", "--seeds", "1", "--jobs", "1"]
 SWEEP_DEADRECKON = ["--estimators", "cv,ca", "--per", "0.5:0.9:0.1", "--seeds", "2", "--jobs", "2"]
-JOBS = {  # name: (fleet size, whether `gen` is timed, sweep flags)
-    "grid-full": (20, False, SWEEP_GRID),
-    "deadreckon-par": (100, False, SWEEP_DEADRECKON),
-    "default": (100, True, []),
+RUN = ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"]
+JOBS = {  # name: (fleet size, whether `gen` is timed, the timed command)
+    "grid-full": (20, False, ["sweep", *SWEEP_GRID]),
+    "deadreckon-par": (100, False, ["sweep", *SWEEP_DEADRECKON]),
+    "default": (100, True, ["sweep"]),
+    "run": (100, False, ["run", *RUN]),
 }
+OUTPUTS = {"sweep": ("summary.csv", "summary.json"), "run": ("step_log.csv",)}  # compared between the trees
 PAIRS = 10  # a gain counts when the change wins 9 of 10 pairs
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 RUNS = [  # untimed `run` calls on the default fleet, whose step logs must match
     ["--scenario", "s0011", "--estimator", "kalman", "--per", "0.2", "--seed", "3"],
     ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"],
@@ -53,8 +61,8 @@ RUNS = [  # untimed `run` calls on the default fleet, whose step logs must match
 ]
 
 
-def cli(tree: Path, args: list[str]) -> tuple[float, float]:
-    """Run `fcwsim <args>` from `tree`'s sources; returns (wall, CPU) seconds."""
+def cli(tree: Path, args: list[str]) -> tuple[float, float, float]:
+    """Run `fcwsim <args>` from `tree`'s sources; returns wall and CPU seconds and peak RSS in MB."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "fcwsim.cli", *args], env=env, stdout=subprocess.DEVNULL)
@@ -62,22 +70,24 @@ def cli(tree: Path, args: list[str]) -> tuple[float, float]:
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{tree}: fcwsim {' '.join(args)} failed")
-    return wall, usage.ru_utime + usage.ru_stime
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
-def job(tree: Path, work: Path, name: str) -> tuple[float, float]:
-    """One timed run of a job; its summary lands in work/<name>-out."""
-    n, gen_timed, flags = JOBS[name]
+def job(tree: Path, work: Path, name: str) -> tuple[float, float, float]:
+    """One timed run of a job; its outputs land in work/<name>-out."""
+    n, gen_timed, (command, *flags) = JOBS[name]
     fleet, out = work / f"{name}-fleet", work / f"{name}-out"
     shutil.rmtree(out, ignore_errors=True)
-    wall = cpu = 0.0
+    out.mkdir()
+    gen = (0.0, 0.0, 0.0)
     if gen_timed or not fleet.exists():
         shutil.rmtree(fleet, ignore_errors=True)
-        wall, cpu = cli(tree, ["gen", "--n", str(n), "--seed", "0", "--out", str(fleet)])
-        if not gen_timed:
-            wall = cpu = 0.0
-    sweep_wall, sweep_cpu = cli(tree, ["sweep", "--fleet", str(fleet), *flags, "--out", str(out)])
-    return wall + sweep_wall, cpu + sweep_cpu
+        built = cli(tree, ["gen", "--n", str(n), "--seed", "0", "--out", str(fleet)])
+        if gen_timed:
+            gen = built
+    target = out / OUTPUTS["run"][0] if command == "run" else out
+    wall, cpu, rss = cli(tree, [command, "--fleet", str(fleet), *flags, "--out", str(target)])
+    return gen[0] + wall, gen[1] + cpu, max(gen[2], rss)
 
 
 def check_step_logs(trees: dict[str, Path], work: dict[str, Path]) -> None:
@@ -104,7 +114,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    times = {name: {side: ([], []) for side in trees} for name in JOBS}
+    times = {name: {side: ([], [], []) for side in trees} for name in JOBS}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         work = {side: Path(tmp) / side for side in trees}
         for path in work.values():
@@ -113,13 +123,12 @@ def main() -> None:
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for name in JOBS:
                 for side in order:
-                    wall, cpu = job(trees[side], work[side], name)
-                    times[name][side][0].append(wall)
-                    times[name][side][1].append(cpu)
-                for summary in ("summary.csv", "summary.json"):
-                    a, b = (work[side] / f"{name}-out" / summary for side in trees)
+                    for values, value in zip(times[name][side], job(trees[side], work[side], name)):
+                        values.append(value)
+                for output in OUTPUTS[JOBS[name][2][0]]:
+                    a, b = (work[side] / f"{name}-out" / output for side in trees)
                     if a.read_bytes() != b.read_bytes():
-                        raise RuntimeError(f"{name}: {summary} differs between the trees")
+                        raise RuntimeError(f"{name}: {output} differs between the trees")
             print(f"pair {i}/{PAIRS} done", file=sys.stderr)
         check_step_logs(trees, work)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -131,12 +140,12 @@ def main() -> None:
                       for side, tree in trees.items()},
         "jobs": {
             name: {
-                "flags": JOBS[name][2],
+                "command": JOBS[name][2],
                 "n_scenarios": JOBS[name][0],
                 "gen_timed": JOBS[name][1],
-                **{side: {"wall_s": spread(t[0]), "cpu_s": spread(t[1])} for side, t in sides.items()},
+                **{side: dict(zip(METRICS, map(spread, t))) for side, t in sides.items()},
                 "change_wins": {metric: sum(c < p for p, c in zip(sides["parent"][m], sides["change"][m]))
-                                for m, metric in enumerate(("wall_s", "cpu_s"))},
+                                for m, metric in enumerate(METRICS)},
             }
             for name, sides in times.items()
         },
@@ -145,7 +154,9 @@ def main() -> None:
     lines = result["src_lines"]
     for name, r in result["jobs"].items():
         print(f"{name}: CPU median {r['parent']['cpu_s']['median']:.3f} -> {r['change']['cpu_s']['median']:.3f} s, "
-              f"change wins {r['change_wins']['cpu_s']}/{PAIRS}, src_lines {lines['parent']} -> {lines['change']}")
+              f"change wins {r['change_wins']['cpu_s']}/{PAIRS}, peak RSS median "
+              f"{r['parent']['peak_rss_mb']['median']:.1f} -> {r['change']['peak_rss_mb']['median']:.1f} MB, "
+              f"src_lines {lines['parent']} -> {lines['change']}")
 
 
 if __name__ == "__main__":

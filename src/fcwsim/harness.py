@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .camp_linear import CampParams, WarningDecision, evaluate, warn_batch
-from .channel import ChannelConfig, delivery_mask, transmit
+from .channel import ChannelConfig, delivery_masks, transmit
 from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
@@ -191,12 +191,10 @@ def sweep(
             truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
         else:
             truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
-        delivered = np.empty((n_steps, len(cfg.pers), len(traces), cfg.seeds), dtype=bool)
-        for p, per in enumerate(cfg.pers):
-            for s, t in enumerate(traces):
-                for j in range(cfg.seeds):
-                    seed = derive_seed(cfg.master_seed, t.id, per, j)
-                    delivered[:, p, s, j] = delivery_mask(n_steps, per, seed)
+        seeds = [derive_seed(cfg.master_seed, t.id, per, j)
+                 for per in cfg.pers for t in traces for j in range(cfg.seeds)]
+        pers = np.repeat(cfg.pers, len(traces) * cfg.seeds)
+        delivered = delivery_masks(n_steps, pers, seeds).reshape(n_steps, len(cfg.pers), len(traces), cfg.seeds)
         n_truth = truth_warn.sum(axis=0)
         for kind_counts, kind in zip(counts, cfg.estimators):
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)

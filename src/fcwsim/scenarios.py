@@ -23,11 +23,12 @@ piecewise-consistent with the dead-reckoning predictors.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -283,45 +284,59 @@ def save_csv(trace: ScenarioTrace, path: Path | str) -> None:
 def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
     """Parse and validate one trace CSV; errors carry the offending row number.
 
-    Faults confined to one row (field count, non-numeric, non-finite, negative
-    speed, overflowing x_lv - x_fv) are reported for the first such row;
-    faults of the sequence (row count, time origin, sampling, a row whose
-    state could dead-reckon to overflow, initial gap) after them.
+    The data rows are parsed by one np.loadtxt call and validated by
+    ScenarioTrace. If either fails, the rows are parsed again one at a time
+    with Python's float(), which also takes syntax loadtxt rejects (1_000,
+    non-ASCII digits), and a fault is reported for its row: faults confined
+    to one row (field count, non-numeric, non-finite, negative speed,
+    overflowing x_lv - x_fv) for the first such row; faults of the sequence
+    (row count, time origin, sampling, a row whose state could dead-reckon
+    to overflow, initial gap) after them.
     """
     path = Path(path)
+    trace_id = path.stem if trace_id is None else trace_id
     try:
-        handle = path.open("r", encoding="utf-8", newline="")
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            header = next(csv.reader(handle), None)
+            text = handle.read()
     except OSError as exc:
         raise TraceFormatError(f"{path}: cannot open ({exc})") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise TraceFormatError(f"{path}: empty file")
-        header = [name.strip() for name in header]
-        missing = [name for name in CSV_COLUMNS if name not in header]
-        if missing:
-            raise TraceFormatError(f"{path}: missing columns {missing}")
-        extra = [name for name in header if name not in CSV_COLUMNS]
-        if extra:
-            raise TraceFormatError(f"{path}: unknown columns {extra}")
-        if len(header) != len(CSV_COLUMNS):
-            raise TraceFormatError(f"{path}: repeated columns in header {header}")
-        order = [header.index(name) for name in CSV_COLUMNS]
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    if header is None:
+        raise TraceFormatError(f"{path}: empty file")
+    header = [name.strip() for name in header]
+    missing = [name for name in CSV_COLUMNS if name not in header]
+    if missing:
+        raise TraceFormatError(f"{path}: missing columns {missing}")
+    extra = [name for name in header if name not in CSV_COLUMNS]
+    if extra:
+        raise TraceFormatError(f"{path}: unknown columns {extra}")
+    if len(header) != len(CSV_COLUMNS):
+        raise TraceFormatError(f"{path}: repeated columns in header {header}")
+    order = [header.index(name) for name in CSV_COLUMNS]
 
-        rows, row_nos, parse_error = [], [], None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                parse_error = f"row {row_no}: expected {len(header)} fields, got {len(row)}"
-                break
-            try:
-                rows.append([*map(float, row)])
-            except ValueError as exc:
-                parse_error = f"row {row_no}: non-numeric value ({exc})"
-                break
-            row_nos.append(row_no)
+    if text.strip("\r\n"):  # np.loadtxt warns when there is no row
+        try:
+            data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            if data.shape[1] == len(CSV_COLUMNS):
+                return ScenarioTrace(trace_id, data[:, order])
+        except ValueError:
+            pass
+
+    rows, row_nos, parse_error = [], [], None
+    for row_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            parse_error = f"row {row_no}: expected {len(header)} fields, got {len(row)}"
+            break
+        try:
+            rows.append([*map(float, row)])
+        except ValueError as exc:
+            parse_error = f"row {row_no}: non-numeric value ({exc})"
+            break
+        row_nos.append(row_no)
 
     data = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))[:, order]
     fault = _bad_value(data)
@@ -335,7 +350,7 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
     if fault:
         raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     try:
-        return ScenarioTrace(path.stem if trace_id is None else trace_id, data)
+        return ScenarioTrace(trace_id, data)
     except ValueError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
 
@@ -389,7 +404,7 @@ def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise TraceFormatError(f"{manifest_path}: cannot open ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise TraceFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
     entries = manifest.get("scenarios") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
@@ -406,7 +421,9 @@ def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]
         if entry["id"] in files:
             raise TraceFormatError(f"{manifest_path}: duplicate scenario id {entry['id']!r}")
         path = fleet_dir / entry["file"]
-        if not path.resolve().is_relative_to(root):
+        # A single plain name that is not a symlink names a file in the fleet directory itself.
+        name = PurePath(entry["file"]).parts
+        if (len(name) != 1 or name[0] == ".." or path.is_symlink()) and not path.resolve().is_relative_to(root):
             raise TraceFormatError(f"{manifest_path}: file {entry['file']!r} lies outside the fleet directory")
         files[entry["id"]] = path
     return manifest_path, t_s, files

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fcwsim.channel import ChannelConfig, apply_mask, transmit
+from fcwsim.channel import ChannelConfig, apply_mask, delivery_masks, philox_random, transmit
 from fcwsim.errors import ConfigError
 from fcwsim.kinematics import TimedState, VehicleState
 
@@ -108,3 +110,42 @@ def test_bsm_carries_input_timing():
     for i, slot in enumerate(slots):
         assert slot.slot == i
         assert slot.state == states[i].state
+
+
+def numpy_draws(seed, n):
+    """The oracle the channel reproduces: numpy's own Philox generator."""
+    return np.random.Generator(np.random.Philox(seed)).random(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_slots=st.integers(1, 400), per=st.floats(0.0, 1.0))
+@example(seed=0, n_slots=151, per=0.5)
+@example(seed=1, n_slots=2, per=0.5)
+@example(seed=2**32 - 1, n_slots=3, per=0.0)
+@example(seed=2**32, n_slots=4, per=1.0)
+@example(seed=2**63, n_slots=5, per=0.9)
+@example(seed=2**64 - 1, n_slots=400, per=0.1)
+def test_masks_reproduce_numpys_philox_stream(seed, n_slots, per):
+    # n_slots - 1 draws end anywhere in a block of four Philox words
+    expected = numpy_draws(seed, n_slots - 1)
+    assert philox_random(n_slots - 1, np.array([seed], dtype=np.uint64))[:, 0].tobytes() == expected.tobytes()
+    mask = delivery_masks(n_slots, [per], [seed])
+    assert mask.shape == (n_slots, 1) and mask[0, 0]
+    assert mask[1:, 0].tolist() == (expected >= per).tolist()
+
+
+def test_masks_of_many_runs_match_run_by_run_draws():
+    # more runs than one chunk, each with its own PER
+    rng = np.random.default_rng(67)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=600)] + [0, 2**64 - 1]
+    pers = rng.uniform(0.0, 1.0, size=len(seeds))
+    masks = delivery_masks(151, pers, seeds)
+    for i, (per, seed) in enumerate(zip(pers, seeds)):
+        assert masks[1:, i].tolist() == (numpy_draws(seed, 150) >= per).tolist()
+        assert masks[:, i].tolist() == delivered(transmit(make_states(151), ChannelConfig(per=per, seed=seed)))
+
+
+def test_seed_outside_64_bits_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError):
+            ChannelConfig(seed=seed)

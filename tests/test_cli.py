@@ -1,10 +1,15 @@
 """CLI subcommands, flag parsing, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcwsim
 from fcwsim.cli import main, parse_estimators, parse_per_grid
 from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind
@@ -127,6 +132,49 @@ def test_corrupt_fleet_is_parse_error(tmp_path, fleet_dir):
         assert main(run + ["--scenario", "s0001"]) == 3
     manifest_path.write_text(manifest)
     assert main(run + ["--scenario", "s0001"]) == 0
+
+
+def _non_utf8_fleet_args(tmp_path):
+    fleet = tmp_path / "fleet"
+    assert main(["gen", "--n", "2", "--seed", "0", "--out", str(fleet)]) == 0
+    run = ["run", "--fleet", str(fleet), "--scenario", "s0001", "--estimator", "cv", "--per", "0.3",
+           "--out", str(tmp_path / "x.csv")]
+    sweep = ["sweep", "--fleet", str(fleet), "--per", "0.3", "--seeds", "1", "--out", str(tmp_path / "out")]
+    return fleet, (run, sweep)
+
+
+def test_non_utf8_csv_is_parse_error(tmp_path, capsys):
+    fleet, commands = _non_utf8_fleet_args(tmp_path)
+    lines = (fleet / "s0001.csv").read_bytes().split(b"\r\n")
+    lines[5] += b"\xff"
+    (fleet / "s0001.csv").write_bytes(b"\r\n".join(lines))
+    for argv in commands:
+        assert main(argv) == 3
+        assert f"error: {fleet / 's0001.csv'}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_is_parse_error(tmp_path, capsys):
+    fleet, commands = _non_utf8_fleet_args(tmp_path)
+    manifest = fleet / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b'"s0000"', b'"s0000\xff"'))
+    for argv in commands:
+        assert main(argv) == 3
+        assert f"error: {manifest}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_do_not_import_numpy_random(tmp_path, fleet_dir, command):
+    # Loss masks reproduce numpy's Philox stream without numpy.random; only `gen` samples with it.
+    argv = {
+        "run": ["run", "--fleet", str(fleet_dir), "--scenario", "s0001", "--estimator", "kalman", "--per", "0.5",
+                "--out", str(tmp_path / "x.csv")],
+        "sweep": ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "2", "--out", str(tmp_path / "out")],
+    }[command]
+    code = f"import sys; from fcwsim.cli import main; assert main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+    src = str(Path(fcwsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_sweep_rejects_duplicate_ids_as_parse_error(tmp_path, fleet_dir):

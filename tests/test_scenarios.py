@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcwsim.errors import ConfigError, TraceFormatError
+from fcwsim.scenarios import CSV_COLUMNS
 from fcwsim.kinematics import step_position_ca, step_position_cv, step_velocity_ca
 from fcwsim.scenarios import (
     GenConfig,
@@ -404,6 +406,19 @@ def test_load_fleet_rejects_files_outside_the_fleet(tmp_path):
             load(fleet_dir)
 
 
+def test_load_fleet_rejects_a_symlink_out_of_the_fleet(tmp_path):
+    fleet_dir = _write_fleet_with(tmp_path, lambda manifest: None)
+    outside = tmp_path / "s0001.csv"
+    (fleet_dir / "s0001.csv").rename(outside)
+    (fleet_dir / "s0001.csv").symlink_to(outside)
+    for load in (load_fleet, _load_first):
+        with pytest.raises(TraceFormatError, match="'s0001.csv' lies outside the fleet directory"):
+            load(fleet_dir)
+    (fleet_dir / "s0001.csv").unlink()
+    (fleet_dir / "s0001.csv").symlink_to(fleet_dir / "s0000.csv")
+    assert load_fleet(fleet_dir)[1].data.tobytes() == load_fleet(fleet_dir)[0].data.tobytes()
+
+
 def test_load_fleet_rejects_manifest_period_mismatch(tmp_path):
     def wrong_period(manifest):
         manifest["t_s"] = 0.2
@@ -431,3 +446,57 @@ def test_state_that_dead_reckons_to_overflow_is_rejected(tmp_path):
         path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n" + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist()))
         with pytest.raises(TraceFormatError, match=re.escape(fragment.replace("step 1", "row 3").replace("step 2", "row 4"))):
             load_csv(path)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+FIELD_EDITS = [  # what a hand-edited or foreign CSV may hold in one field
+    lambda f: "#" + f,
+    lambda f: f'"{f}"',
+    lambda f: f[:1] + "_" + f[1:] if f[1:2].isdigit() else f,  # 1_000
+    lambda f: f.translate(ARABIC_INDIC),
+    lambda f: "",
+    lambda f: "\ufeff" + f,
+    lambda f: f" {f}\t",
+    lambda f: f"\u2003{f}\xa0",
+    lambda f: f + "\x0c",
+    lambda f: f.replace(".0", ".0e0"),
+]
+ROW_EDITS = [lambda fields: fields + [""], lambda fields: fields[:-1], lambda fields: fields + ["0"]]
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid trace CSV's text with a few perturbations from FIELD_EDITS, ROW_EDITS and odd lines."""
+    n = draw(st.integers(1, 5))
+    rows = [[repr(v) for v in (k * 0.125, 20.0 + k, 10.0, 0.0, 2.0 * k, 8.0, 0.0)] for k in range(n)]
+    for k, j, edit in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 6), st.sampled_from(FIELD_EDITS)),
+                                    max_size=3)):
+        rows[k][j] = edit(rows[k][j])
+    for k, edit in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(ROW_EDITS)), max_size=2)):
+        rows[k] = edit(rows[k])
+    lines = [",".join(CSV_COLUMNS)] + [",".join(row) for row in rows]
+    for k, line in draw(st.lists(st.tuples(st.integers(1, n + 1), st.sampled_from(["", " ", "\t", "\r"])),
+                                 max_size=2)):
+        lines.insert(k, line)
+    ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return ("\ufeff" if draw(st.integers(0, 3)) == 3 else "") + text
+
+
+def load_outcome(path):
+    try:
+        trace = load_csv(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace.id, trace.data.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, text):
+    # With np.loadtxt failing, load_csv parses every row with float(): the bits or message to match.
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        expected = load_outcome(path)
+    assert load_outcome(path) == expected
