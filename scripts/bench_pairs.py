@@ -3,8 +3,12 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
 PARENT and CHANGE are repository roots whose `src/` holds the fcwsim
-package. Every timed job is a fresh `python -m fcwsim.cli` process (with
-the workers it reaps), and the two trees run alternately for PAIRS pairs:
+package. Each `src/` is copied to `<tmp>/parent/src` and `<tmp>/change/src`,
+and each side's fleets and outputs are written next to its copy: peak RSS
+grows with the length of the paths a process uses, so both sides use
+paths of the same length. Every timed job is a fresh `python -m fcwsim.cli`
+process (with the workers it reaps), and the two trees run alternately
+for PAIRS pairs:
 pair i runs the parent first for odd i, the change first for even i. The
 jobs:
 
@@ -23,8 +27,8 @@ job's fleet. The JSON holds, per job and tree, the median and quartiles
 of wall and CPU seconds and of peak RSS (`ru_maxrss`, in MB) and every
 run, the pairs the change won, `nproc`, the Python and numpy versions
 and each tree's `src/fcwsim` line count. Stdout gets one line per job:
-both trees' median CPU seconds and peak RSS, the pairs the change won
-and the line counts.
+both trees' median CPU seconds and peak RSS, the pairs the change won on
+each, and the line counts.
 """
 
 from __future__ import annotations
@@ -73,10 +77,10 @@ def cli(tree: Path, args: list[str]) -> tuple[float, float, float]:
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
-def job(tree: Path, work: Path, name: str) -> tuple[float, float, float]:
-    """One timed run of a job; its outputs land in work/<name>-out."""
+def job(tree: Path, name: str) -> tuple[float, float, float]:
+    """One timed run of a job; its outputs land in tree/<name>-out."""
     n, gen_timed, (command, *flags) = JOBS[name]
-    fleet, out = work / f"{name}-fleet", work / f"{name}-out"
+    fleet, out = tree / f"{name}-fleet", tree / f"{name}-out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
     gen = (0.0, 0.0, 0.0)
@@ -90,13 +94,13 @@ def job(tree: Path, work: Path, name: str) -> tuple[float, float, float]:
     return gen[0] + wall, gen[1] + cpu, max(gen[2], rss)
 
 
-def check_step_logs(trees: dict[str, Path], work: dict[str, Path]) -> None:
+def check_step_logs(trees: dict[str, Path]) -> None:
     """Run each of RUNS from both trees on their default fleets; their step logs must be equal."""
     for flags in RUNS:
         logs = []
-        for side, tree in trees.items():
-            log = work[side] / "step_log.csv"
-            cli(tree, ["run", "--fleet", str(work[side] / "default-fleet"), *flags, "--out", str(log)])
+        for tree in trees.values():
+            log = tree / "step_log.csv"
+            cli(tree, ["run", "--fleet", str(tree / "default-fleet"), *flags, "--out", str(log)])
             logs.append(log.read_bytes())
         if logs[0] != logs[1]:
             raise RuntimeError(f"run {' '.join(flags)}: step log differs between the trees")
@@ -113,31 +117,31 @@ def main() -> None:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    times = {name: {side: ([], [], []) for side in trees} for name in JOBS}
+    sources = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    times = {name: {side: ([], [], []) for side in sources} for name in JOBS}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        work = {side: Path(tmp) / side for side in trees}
-        for path in work.values():
-            path.mkdir()
+        trees = {side: Path(tmp) / side for side in sources}
+        for side, tree in trees.items():
+            shutil.copytree(sources[side] / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(1, PAIRS + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             for name in JOBS:
                 for side in order:
-                    for values, value in zip(times[name][side], job(trees[side], work[side], name)):
+                    for values, value in zip(times[name][side], job(trees[side], name)):
                         values.append(value)
                 for output in OUTPUTS[JOBS[name][2][0]]:
-                    a, b = (work[side] / f"{name}-out" / output for side in trees)
+                    a, b = (tree / f"{name}-out" / output for tree in trees.values())
                     if a.read_bytes() != b.read_bytes():
                         raise RuntimeError(f"{name}: {output} differs between the trees")
             print(f"pair {i}/{PAIRS} done", file=sys.stderr)
-        check_step_logs(trees, work)
+        check_step_logs(trees)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                    capture_output=True, text=True, check=True).stdout.strip()
     result = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy_version},
         "pairs": PAIRS,
         "src_lines": {side: sum(len(p.read_text().splitlines()) for p in (tree / "src" / "fcwsim").glob("*.py"))
-                      for side, tree in trees.items()},
+                      for side, tree in sources.items()},
         "jobs": {
             name: {
                 "command": JOBS[name][2],
@@ -155,7 +159,8 @@ def main() -> None:
     for name, r in result["jobs"].items():
         print(f"{name}: CPU median {r['parent']['cpu_s']['median']:.3f} -> {r['change']['cpu_s']['median']:.3f} s, "
               f"change wins {r['change_wins']['cpu_s']}/{PAIRS}, peak RSS median "
-              f"{r['parent']['peak_rss_mb']['median']:.1f} -> {r['change']['peak_rss_mb']['median']:.1f} MB, "
+              f"{r['parent']['peak_rss_mb']['median']:.2f} -> {r['change']['peak_rss_mb']['median']:.2f} MB, "
+              f"change wins {r['change_wins']['peak_rss_mb']}/{PAIRS}, "
               f"src_lines {lines['parent']} -> {lines['change']}")
 
 

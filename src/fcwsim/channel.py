@@ -87,7 +87,9 @@ def delivery_masks(n_slots: int, pers: Sequence[float], seeds: Sequence[int]) ->
     delivered = np.ones((n_slots, len(seeds)), dtype=bool)
     for lo in range(0, len(seeds), CHUNK):
         runs = slice(lo, lo + CHUNK)
-        delivered[1:, runs] = philox_random(n_slots - 1, seeds[runs]) >= pers[runs]
+        for j, words in enumerate(_philox_blocks(n_slots - 1, seeds[runs])):  # word j of block b is draw 4b + j
+            rows = delivered[1 + j::4, runs]
+            rows[:] = (words[:len(rows)] >> 11) * 2.0**-53 >= pers[runs]
     return delivered
 
 
@@ -98,14 +100,19 @@ def philox_random(n: int, seeds: np.ndarray) -> np.ndarray:
     four uint64 words is Philox4x64-10 of the counter (b + 1, 0, 0, 0), and
     a word w gives the double (w >> 11) * 2**-53.
     """
+    words = np.stack(_philox_blocks(n, seeds), axis=1).reshape(-1, len(seeds))[:n]
+    return (words >> 11) * 2.0**-53
+
+
+def _philox_blocks(n: int, seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four words of the Philox blocks that hold n draws per seed, each a (blocks, seeds) uint64 array."""
     c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[:, None]
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for k0, k1 in _seed_sequence_key(seeds) + _PHILOX_BUMPS:
         hi0, lo0 = _mulhilo(*_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(*_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=1).reshape(-1, len(seeds))[:n]
-    return (words >> 11) * 2.0**-53
+    return c0, c1, c2, c3
 
 
 def _mulhilo(m: np.ndarray, m_lo: np.ndarray, m_hi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

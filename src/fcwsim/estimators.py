@@ -215,6 +215,11 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
     return estimates
 
 
+def block_steps(n_runs: int) -> int:
+    """Steps per block of `n_runs` runs: about BLOCK run-steps, and at least one step."""
+    return max(1, BLOCK // max(1, n_runs))
+
+
 def estimate_batch(
     lv_x: np.ndarray,
     lv_v: np.ndarray,
@@ -243,7 +248,7 @@ def estimate_batch(
     n_steps, run_shape = len(delivered), delivered.shape[1:]
     x, v, a = (np.broadcast_to(col[0], run_shape) for col in (lv_x, lv_v, lv_a))
     s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, run_shape + (2, 2)), a)
-    size = max(1, BLOCK // max(1, delivered[0].size))
+    size = block_steps(delivered[0].size)
     for k0 in range(0, n_steps, size):
         block = np.empty((3, min(size, n_steps - k0), *run_shape))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block

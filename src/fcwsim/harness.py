@@ -19,7 +19,6 @@ steps its runs together over arrays; `run_cell` is a one-cell sweep.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -30,10 +29,18 @@ import numpy as np
 from .camp_linear import CampParams, WarningDecision, evaluate, warn_batch
 from .channel import ChannelConfig, delivery_masks, transmit
 from .errors import ConfigError, TraceFormatError
-from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
+from .estimators import EstimatorKind, KalmanConfig, block_steps, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
 from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
 from .scenarios import ScenarioTrace
+
+try:  # built-in SHA-256, as random.py takes sha512: importing hashlib loads OpenSSL (3.7 MB of peak RSS)
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 SEED_DOMAIN = "fcwsim:v1"
 
@@ -45,7 +52,7 @@ def derive_seed(master_seed: int, scenario_id: str, per: float, seed_index: int)
     "fcwsim:v1|<master>|<scenario id>|<per with 10 sig. digits>|<index>".
     """
     key = f"{SEED_DOMAIN}|{master_seed}|{scenario_id}|{per:.10g}|{seed_index}"
-    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+    return int.from_bytes(sha256(key.encode("utf-8")).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,12 @@ def sweep(
         lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
         fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
         if truth is None:
-            truth_warn = warn_batch(lv[0] - fv[0] - cfg.camp.length_offset, fv[1], fv[2], lv[1], lv[2], cfg.camp)
+            truth_warn = np.empty((n_steps, 1, len(traces), 1), dtype=bool)
+            size = block_steps(len(traces))
+            for k0 in range(0, n_steps, size):
+                block = slice(k0, k0 + size)
+                truth_warn[block] = warn_batch(lv[0][block] - fv[0][block] - cfg.camp.length_offset,
+                                               fv[1][block], fv[2][block], lv[1][block], lv[2][block], cfg.camp)
         else:
             truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)

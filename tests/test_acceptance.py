@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from fcwsim.camp_linear import CampParams
-from fcwsim.channel import ChannelConfig, apply_mask, transmit
+from fcwsim.channel import ChannelConfig, apply_mask, delivery_masks, transmit
 from fcwsim.cli import main
 from fcwsim.estimators import (
     EstimatorKind,
@@ -234,12 +234,15 @@ def test_criterion_6a_ca_dominates_cv_at_low_per(cell_cache):
 
 
 def test_criterion_6b_ca_beats_cv_position_error(fleet):
+    # One draw of every run's mask; column i is the mask transmit would draw for seeds[i].
+    (n_slots,) = {len(trace) for trace in fleet}
+    seeds = [derive_seed(0, trace.id, 0.3, seed_index) for trace in fleet for seed_index in range(SEEDS)]
+    masks = iter(delivery_masks(n_slots, [0.3] * len(seeds), seeds).T)
     sums = {CV: 0.0, CA: 0.0}
     steps = 0
     for trace in fleet:
-        for seed_index in range(SEEDS):
-            seed = derive_seed(0, trace.id, 0.3, seed_index)
-            slots = transmit(trace.lv, ChannelConfig(per=0.3, seed=seed))
+        for _ in range(SEEDS):
+            slots = apply_mask(trace.lv, next(masks))
             for kind in (CV, CA):
                 estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s))
                 sums[kind] += sum(

@@ -111,19 +111,26 @@ def test_sweep_matches_scalar_runs(block, examples, monkeypatch):
 
 def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
     pers = (0.0, 0.4, 1.0)
+
+    def expected_cell(kind, per, kalman):
+        return SweepCell(kind, per, aggregate([
+            run_scenario(trace, kind, per, derive_seed(master_seed, trace.id, per, j), camp, kalman)[1]
+            for trace in fleet
+            for j in range(seeds)
+        ]), len(fleet), seeds)
+
+    # The Kalman tuning does not reach a CV or CA run, so their expected cells serve every tuning.
+    dead_reckoning = {(kind, per): expected_cell(kind, per, None)
+                      for kind in (EstimatorKind.CONSTANT_VELOCITY, EstimatorKind.CONSTANT_ACCELERATION) for per in pers}
+    truth = {trace.id: truth_decisions(trace, camp) for trace in fleet}
     for q, r in KALMAN_TUNINGS:
         cfg = RunConfig(pers=pers, seeds=seeds, camp=camp, kalman=KalmanConfig(q=q, r=r), master_seed=master_seed)
         expected = [
-            SweepCell(kind, per, aggregate([
-                run_scenario(trace, kind, per, derive_seed(master_seed, trace.id, per, j), camp, cfg.kalman)[1]
-                for trace in fleet
-                for j in range(seeds)
-            ]), len(fleet), seeds)
+            expected_cell(kind, per, cfg.kalman) if kind is EstimatorKind.KALMAN else dead_reckoning[kind, per]
             for kind in cfg.estimators
             for per in pers
         ]
         assert sweep(fleet, cfg) == expected
-        truth = {trace.id: truth_decisions(trace, camp) for trace in fleet}
         for cell in expected:
             assert run_cell(fleet, cell.estimator, cell.per, cfg) == cell
             assert run_cell(fleet, cell.estimator, cell.per, cfg, truth) == cell

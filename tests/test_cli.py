@@ -1,5 +1,6 @@
 """CLI subcommands, flag parsing, and exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -162,19 +163,33 @@ def test_non_utf8_manifest_is_parse_error(tmp_path, capsys):
         assert f"error: {manifest}: invalid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_run_and_sweep_do_not_import_numpy_random(tmp_path, fleet_dir, command):
-    # Loss masks reproduce numpy's Philox stream without numpy.random; only `gen` samples with it.
+def _printed_after(tmp_path, fleet_dir, command, expression):
+    """Run `command` through fcwsim.cli.main in a fresh interpreter, then print `expression`; returns the print."""
     argv = {
         "run": ["run", "--fleet", str(fleet_dir), "--scenario", "s0001", "--estimator", "kalman", "--per", "0.5",
                 "--out", str(tmp_path / "x.csv")],
         "sweep": ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "2", "--out", str(tmp_path / "out")],
     }[command]
-    code = f"import sys; from fcwsim.cli import main; assert main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+    code = f"import sys; from fcwsim.cli import main; assert main({argv!r}) == 0; print({expression})"
     src = str(Path(fcwsim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_do_not_import_numpy_random(tmp_path, fleet_dir, command):
+    # Loss masks reproduce numpy's Philox stream without numpy.random; only `gen` samples with it.
+    assert _printed_after(tmp_path, fleet_dir, command, "'numpy.random' in sys.modules") == "False"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_do_not_load_openssl(tmp_path, fleet_dir, command):
+    # derive_seed takes SHA-256 from the interpreter's built-in module (_sha2 or _sha256) when there
+    # is one; hashlib would load OpenSSL's libcrypto through _hashlib.
+    builtin_sha256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    loaded = _printed_after(tmp_path, fleet_dir, command, "'_hashlib' in sys.modules")
+    assert loaded == "False" or not builtin_sha256
 
 
 def test_sweep_rejects_duplicate_ids_as_parse_error(tmp_path, fleet_dir):

@@ -1,8 +1,11 @@
 """Pipeline orchestration: determinism, truth-side independence, sweep structure."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fcwsim.camp_linear import CampParams
 from fcwsim.errors import ConfigError
@@ -46,7 +49,7 @@ def constant_velocity_trace(n=40, t_s=0.1):
 
 def test_derive_seed_is_stable_and_spread():
     a = derive_seed(0, "s0001", 0.3, 0)
-    assert a == derive_seed(0, "s0001", 0.3, 0)
+    assert a == derive_seed(0, "s0001", 0.3, 0) == 9680090156939884924
     others = {
         derive_seed(1, "s0001", 0.3, 0),
         derive_seed(0, "s0002", 0.3, 0),
@@ -56,6 +59,16 @@ def test_derive_seed_is_stable_and_spread():
     assert a not in others
     assert len(others) == 4
     assert 0 <= a < 2**64
+
+
+@given(master_seed=st.integers(0, 2**64), scenario_id=st.text(min_size=1), per=st.floats(0.0, 1.0),
+       seed_index=st.integers(0, 10**6))
+@example(master_seed=7, scenario_id="sçénario-€-😀", per=0.1, seed_index=19)
+def test_derive_seed_is_the_sha256_of_its_key(master_seed, scenario_id, per, seed_index):
+    # derive_seed may take SHA-256 from a built-in module instead of hashlib; the bytes must not move.
+    key = f"fcwsim:v1|{master_seed}|{scenario_id}|{per:.10g}|{seed_index}".encode("utf-8")
+    expected = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    assert derive_seed(master_seed, scenario_id, per, seed_index) == expected
 
 
 def test_zero_loss_run_matches_truth(fleet):
