@@ -18,9 +18,11 @@ jobs:
     --jobs 2` on `gen --n 100` (fleet built once, untimed);
   - default: `gen --n 100 --seed 0` plus the default `sweep`, both timed;
   - run: one `run` call on `gen --n 100` (fleet built once, untimed), as
-    the benchmark's replay workload makes them.
+    the benchmark's replay workload makes them;
+  - gen: `gen --n 20 --seed 0` alone, timed, the benchmark's `grid-full`
+    set-up.
 
-Each job's outputs (summary files, or the step log) must be
+Each job's fleet and outputs (summary files, or the step log) must be
 byte-identical between the trees, and so must the step logs of a few
 untimed `run` calls (RUNS, covering every estimator) on the default
 job's fleet. The JSON holds, per job and tree, the median and quartiles
@@ -48,11 +50,12 @@ from pathlib import Path
 SWEEP_GRID = ["--estimators", "cv,ca,kalman", "--per", "0.0:0.9:0.1", "--seeds", "1", "--jobs", "1"]
 SWEEP_DEADRECKON = ["--estimators", "cv,ca", "--per", "0.5:0.9:0.1", "--seeds", "2", "--jobs", "2"]
 RUN = ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"]
-JOBS = {  # name: (fleet size, whether `gen` is timed, the timed command)
+JOBS = {  # name: (fleet size, whether `gen` is timed, the timed command after it, if any)
     "grid-full": (20, False, ["sweep", *SWEEP_GRID]),
     "deadreckon-par": (100, False, ["sweep", *SWEEP_DEADRECKON]),
     "default": (100, True, ["sweep"]),
     "run": (100, False, ["run", *RUN]),
+    "gen": (20, True, []),
 }
 OUTPUTS = {"sweep": ("summary.csv", "summary.json"), "run": ("step_log.csv",)}  # compared between the trees
 PAIRS = 10  # a gain counts when the change wins 9 of 10 pairs
@@ -78,8 +81,8 @@ def cli(tree: Path, args: list[str]) -> tuple[float, float, float]:
 
 
 def job(tree: Path, name: str) -> tuple[float, float, float]:
-    """One timed run of a job; its outputs land in tree/<name>-out."""
-    n, gen_timed, (command, *flags) = JOBS[name]
+    """One timed run of a job; its fleet is tree/<name>-fleet and its outputs land in tree/<name>-out."""
+    n, gen_timed, timed = JOBS[name]
     fleet, out = tree / f"{name}-fleet", tree / f"{name}-out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -89,9 +92,21 @@ def job(tree: Path, name: str) -> tuple[float, float, float]:
         built = cli(tree, ["gen", "--n", str(n), "--seed", "0", "--out", str(fleet)])
         if gen_timed:
             gen = built
+    if not timed:
+        return gen
+    command, *flags = timed
     target = out / OUTPUTS["run"][0] if command == "run" else out
     wall, cpu, rss = cli(tree, [command, "--fleet", str(fleet), *flags, "--out", str(target)])
     return gen[0] + wall, gen[1] + cpu, max(gen[2], rss)
+
+
+def outputs(tree: Path, name: str) -> dict[str, bytes]:
+    """A job's fleet files and outputs, by path relative to tree."""
+    timed = JOBS[name][2]
+    files = sorted((tree / f"{name}-fleet").iterdir())
+    if timed:
+        files += [tree / f"{name}-out" / output for output in OUTPUTS[timed[0]]]
+    return {str(path.relative_to(tree)): path.read_bytes() for path in files}
 
 
 def check_step_logs(trees: dict[str, Path]) -> None:
@@ -129,10 +144,10 @@ def main() -> None:
                 for side in order:
                     for values, value in zip(times[name][side], job(trees[side], name)):
                         values.append(value)
-                for output in OUTPUTS[JOBS[name][2][0]]:
-                    a, b = (tree / f"{name}-out" / output for tree in trees.values())
-                    if a.read_bytes() != b.read_bytes():
-                        raise RuntimeError(f"{name}: {output} differs between the trees")
+                a, b = (outputs(tree, name) for tree in trees.values())
+                if a != b:
+                    differ = sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+                    raise RuntimeError(f"{name}: {', '.join(differ)} differ between the trees")
             print(f"pair {i}/{PAIRS} done", file=sys.stderr)
         check_step_logs(trees)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],

@@ -12,28 +12,34 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # numpy's OpenBLAS starts a thread per core at import; the only BLAS calls here are the Kalman correction's 2x2
 # products, which it never splits.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .camp_linear import CampParams
+# Run as a program, the cyclic GC stays off while numpy loads, and the objects made so far (tens of thousands,
+# nearly all alive until exit) are then frozen, so neither the collections during the job nor the one at
+# interpreter exit walk them. A caller that imports this module keeps its own gc state.
+if __name__ == "__main__":
+    gc.disable()
+
 from .errors import ConfigError, TraceFormatError
-from .estimators import EstimatorKind, KalmanConfig
-from .harness import (
-    RunConfig,
-    derive_seed,
-    run_scenario,
-    sweep,
-    write_step_log,
-    write_summary_csv,
-    write_summary_json,
-)
 from .scenarios import GenConfig, generate_fleet, load_fleet, load_scenario, save_fleet
+
+if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
+
+# run and sweep import the estimators, CAMP Linear and the harness where they use them, so gen never loads them.
+if TYPE_CHECKING:
+    from .camp_linear import CampParams
+    from .estimators import EstimatorKind, KalmanConfig
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -68,6 +74,8 @@ def parse_per_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
+    from .estimators import EstimatorKind
+
     kinds = []
     for name in text.split(","):
         name = name.strip().lower()
@@ -91,11 +99,15 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _camp_from(args) -> CampParams:
+    from .camp_linear import CampParams
+
     return CampParams(t_d=args.td, eps_v=args.eps_v, min_decel=args.min_decel,
                       length_offset=args.length_offset)
 
 
 def _kalman_from(args) -> KalmanConfig:
+    from .estimators import KalmanConfig
+
     return KalmanConfig(q=args.kalman_q, r=args.kalman_r, p0=args.kalman_p0)
 
 
@@ -159,6 +171,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness import derive_seed, run_scenario, write_step_log
+
     trace = load_scenario(args.fleet, args.scenario)
     kinds = parse_estimators(args.estimator)
     if len(kinds) != 1:
@@ -173,6 +187,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import RunConfig, sweep, write_summary_csv, write_summary_json
+
     fleet = load_fleet(args.fleet)
     cfg = RunConfig(
         estimators=parse_estimators(args.estimators),

@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .channel import philox_random
 from .errors import ConfigError, TraceFormatError
 from .kinematics import TimedState, VehicleState, step_ca_batch
 
@@ -169,8 +170,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n_scenarios < 1:
             raise ConfigError(f"need at least one scenario: {self.n_scenarios}")
-        if self.seed < 0:
-            raise ConfigError(f"generator seed must be >= 0: {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"generator seed must be in [0, 2**64): {self.seed}")
         if not (0.0 < self.duration < math.inf and 0.0 < self.t_s < math.inf):
             raise ConfigError(f"duration and sample period must be positive and finite: {self.duration}, {self.t_s}")
         if self.duration < 2 * self.t_s:
@@ -196,6 +197,9 @@ class GenConfig:
 def generate_fleet(cfg: GenConfig) -> list[ScenarioTrace]:
     """Sample cfg.n_scenarios braking-conflict traces, deterministic in cfg.seed.
 
+    Each scenario's speeds, headway, deceleration and onset are the next five
+    `Generator(Philox(cfg.seed)).uniform` draws, taken without numpy.random
+    (see _uniform_draws).
     The sampled braking level is snapped so the LV comes to rest exactly on
     a sample boundary (see _snap_braking); the drift from the sampled values
     is below half a sample period's worth of deceleration. All scenarios
@@ -213,17 +217,12 @@ def generate_fleet(cfg: GenConfig) -> list[ScenarioTrace]:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows up as a non-finite trace
 def _integrate_fleet(cfg: GenConfig) -> np.ndarray:
     """The fleet's rows, shape (scenarios, steps, 7), before validation."""
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    ranges = (cfg.speed_range, cfg.speed_range, cfg.headway_range, cfg.decel_range, cfg.onset_range)
     n_steps = round(cfg.duration / cfg.t_s) + 1
     params = []
-    for _ in range(cfg.n_scenarios):
-        v_raw = float(rng.uniform(*cfg.speed_range))
-        v_fv = float(rng.uniform(*cfg.speed_range))
-        headway = float(rng.uniform(*cfg.headway_range))
-        decel_raw = float(rng.uniform(*cfg.decel_range))
-        onset_step = round(float(rng.uniform(*cfg.onset_range)) / cfg.t_s)
+    for v_raw, v_fv, headway, decel_raw, onset in _uniform_draws(cfg.seed, ranges, cfg.n_scenarios).tolist():
         v_lv, decel = _snap_braking(v_raw, decel_raw, cfg.t_s)
-        params.append((v_lv, v_fv, headway * v_fv, decel, onset_step))
+        params.append((v_lv, v_fv, headway * v_fv, decel, round(onset / cfg.t_s)))
     v, v_fv, x_lv, decel, onset_step = (np.array(column) for column in zip(*params))
     x_fv = np.zeros_like(x_lv)
     dt = cfg.t_s
@@ -237,6 +236,19 @@ def _integrate_fleet(cfg: GenConfig) -> np.ndarray:
         x_lv, v = step_ca_batch(x_lv, v, a, dt)
         x_fv = x_fv + v_fv * dt
     return data
+
+
+def _uniform_draws(seed: int, ranges: Sequence[tuple[float, float]], n: int) -> np.ndarray:
+    """n rows of one draw per (lo, hi) in ranges, as an (n, len(ranges)) float64 array.
+
+    Row by row, left to right, these are the values successive
+    `Generator(Philox(seed)).uniform(lo, hi)` calls return: numpy computes
+    each as lo + (hi - lo) * u from the stream's next double u, and so does
+    this, with the stream taken from channel.philox_random.
+    """
+    lo, hi = np.array(ranges, dtype=np.float64).T
+    u = philox_random(n * len(lo), np.array([seed], dtype=np.uint64)).reshape(n, len(lo))
+    return lo + (hi - lo) * u
 
 
 def _snap_braking(v_raw: float, decel_raw: float, t_s: float) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """CLI subcommands, flag parsing, and exit codes."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -166,6 +167,7 @@ def test_non_utf8_manifest_is_parse_error(tmp_path, capsys):
 def _printed_after(tmp_path, fleet_dir, command, expression):
     """Run `command` through fcwsim.cli.main in a fresh interpreter, then print `expression`; returns the print."""
     argv = {
+        "gen": ["gen", "--n", "3", "--seed", "1", "--out", str(tmp_path / "gen")],
         "run": ["run", "--fleet", str(fleet_dir), "--scenario", "s0001", "--estimator", "kalman", "--per", "0.5",
                 "--out", str(tmp_path / "x.csv")],
         "sweep": ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "2", "--out", str(tmp_path / "out")],
@@ -177,10 +179,40 @@ def _printed_after(tmp_path, fleet_dir, command, expression):
     return done.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_run_and_sweep_do_not_import_numpy_random(tmp_path, fleet_dir, command):
-    # Loss masks reproduce numpy's Philox stream without numpy.random; only `gen` samples with it.
+@pytest.mark.parametrize("command", ["gen", "run", "sweep"])
+def test_commands_do_not_import_numpy_random(tmp_path, fleet_dir, command):
+    # Scenario parameters and loss masks both come from channel's reproduction of numpy's Philox stream.
     assert _printed_after(tmp_path, fleet_dir, command, "'numpy.random' in sys.modules") == "False"
+
+
+def test_gen_loads_only_the_generator(tmp_path, fleet_dir):
+    # cli imports what run and sweep need where they use it.
+    others = ("fcwsim.harness", "fcwsim.estimators", "fcwsim.camp_linear", "fcwsim.metrics")
+    assert _printed_after(tmp_path, fleet_dir, "gen", f"[m for m in {others!r} if m in sys.modules]") == "[]"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_gc_state(tmp_path, fleet_dir, enabled):
+    # Only `python -m fcwsim.cli` turns the cyclic GC off during its imports and freezes what they made.
+    commands = (["gen", "--n", "2", "--out", str(tmp_path / "gen")],
+                ["run", "--fleet", str(fleet_dir), "--scenario", "s0001", "--estimator", "kalman", "--per", "0.5",
+                 "--out", str(tmp_path / "x.csv")],
+                ["sweep", "--fleet", str(fleet_dir), "--per", "0.5", "--seeds", "2", "--out", str(tmp_path / "out")])
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for argv in commands:
+            assert main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_gen_rejects_a_seed_outside_philox_range(tmp_path, capsys):
+    assert main(["gen", "--n", "2", "--seed", str(2**64), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: generator seed must be in [0, 2**64): {2**64}\n"
+    assert not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcwsim.errors import ConfigError, TraceFormatError
@@ -16,6 +16,7 @@ from fcwsim.kinematics import step_position_ca, step_position_cv, step_velocity_
 from fcwsim.scenarios import (
     GenConfig,
     ScenarioTrace,
+    _uniform_draws,
     generate_fleet,
     load_csv,
     load_fleet,
@@ -104,6 +105,31 @@ def test_generation_deterministic():
     a = generate_fleet(GenConfig(n_scenarios=5, seed=11))
     b = generate_fleet(GenConfig(n_scenarios=5, seed=11))
     assert a == b
+
+
+_finite = st.floats(-1e300, 1e300)  # every difference hi - lo stays finite, as numpy requires
+_ranges = st.lists(st.one_of(st.tuples(_finite, _finite).map(sorted), _finite.map(lambda v: (v, v))),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), ranges=_ranges, n=st.integers(1, 9))
+@example(seed=0, ranges=[(15.0, 30.0), (15.0, 30.0), (0.8, 2.5), (-8.0, -2.0), (2.0, 5.0)], n=7)
+@example(seed=2**32 - 1, ranges=[(0.0, 1.0)], n=1)
+@example(seed=2**32, ranges=[(-1.0, -1.0), (0.0, 1.0)], n=3)
+@example(seed=2**63, ranges=[(-1e300, 1e300)], n=5)
+@example(seed=2**64 - 1, ranges=[(1.0, 2.0), (3.0, 3.0), (-5.0, 7.0)], n=9)
+def test_generator_draws_match_numpy_uniform(seed, ranges, n):
+    rng = np.random.Generator(np.random.Philox(seed))
+    expected = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(n)]
+    assert _uniform_draws(seed, ranges, n).tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+def test_gen_config_takes_the_seeds_philox_takes():
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=re.escape(f"generator seed must be in [0, 2**64): {seed}")):
+            GenConfig(seed=seed)
+    assert GenConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_gen_config_validation():
