@@ -87,9 +87,7 @@ def delivery_masks(n_slots: int, pers: Sequence[float], seeds: Sequence[int]) ->
     delivered = np.ones((n_slots, len(seeds)), dtype=bool)
     for lo in range(0, len(seeds), CHUNK):
         runs = slice(lo, lo + CHUNK)
-        for j, words in enumerate(_philox_blocks(n_slots - 1, seeds[runs])):  # word j of block b is draw 4b + j
-            rows = delivered[1 + j::4, runs]
-            rows[:] = (words[:len(rows)] >> 11) * 2.0**-53 >= pers[runs]
+        delivered[1:, runs] = philox_random(n_slots - 1, seeds[runs]) >= pers[runs]
     return delivered
 
 

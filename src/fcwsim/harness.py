@@ -13,8 +13,9 @@ PER grid or seed count never perturbs existing cells. All estimators face
 the same loss masks, making their comparison paired.
 
 `run_scenario` steps one run through the scalar functions; it backs `run`
-and is the reference the batched sweep kernel is tested against. `sweep`
-steps its runs together over arrays; `run_cell` is a one-cell sweep.
+and is the reference the batched sweep kernel is tested against.
+`count_runs` steps many runs together over arrays into one count array,
+`sweep` aggregates each cell's slab of it, and `run_cell` is a one-cell sweep.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ except ImportError:
         from hashlib import sha256
 
 SEED_DOMAIN = "fcwsim:v1"
+Truth = dict[str, list[WarningDecision]]  # truth_decisions per scenario id
 
 
 def derive_seed(master_seed: int, scenario_id: str, per: float, seed_index: int) -> int:
@@ -147,26 +149,28 @@ def run_scenario(
     return log, counts
 
 
-def run_cell(
-    fleet: Sequence[ScenarioTrace],
-    kind: EstimatorKind,
-    per: float,
-    cfg: RunConfig,
-    truth: Optional[dict[str, list[WarningDecision]]] = None,
-) -> SweepCell:
+def run_cell(fleet: Sequence[ScenarioTrace], kind: EstimatorKind, per: float, cfg: RunConfig,
+             truth: Optional[Truth] = None) -> SweepCell:
     """Aggregate one (estimator, PER) cell over all scenarios and seed indices, as `sweep` would."""
     return sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)), truth)[0]
 
 
-def sweep(
-    fleet: Sequence[ScenarioTrace],
-    cfg: RunConfig,
-    truth: Optional[dict[str, list[WarningDecision]]] = None,
-) -> list[SweepCell]:
+def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[Truth] = None) -> list[SweepCell]:
     """Full (estimator, PER) cross product, averaged over scenarios x seeds.
 
-    Cells are emitted in the configured (estimator, PER) order, and a cell
-    aggregates its runs in (scenario, seed) order. Runs are grouped by
+    Cells come in the configured (estimator, PER) order, and each is
+    `aggregate` over its slab of `count_runs`'s array.
+    """
+    counts = count_runs(fleet, cfg, truth)
+    return [SweepCell(kind, per, aggregate(per_counts), len(fleet), cfg.seeds)
+            for kind, kind_counts in zip(cfg.estimators, counts) for per, per_counts in zip(cfg.pers, kind_counts)]
+
+
+def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[Truth] = None) -> np.ndarray:
+    """Every run's (ch, cs, is_, ih) as an (estimator, PER, scenario, seed, 4) int64 array.
+
+    Entry [e, p, i, j] is what `run_scenario` counts for fleet[i] under
+    cfg's estimator e, PER p and seed index j. Runs are grouped by
     trace length and sample period, so each trace steps at its own period.
     A group's runs have shape (PER, scenario, seed) and its per-scenario
     arrays are shaped (steps, 1, scenario, 1) so a block of steps
@@ -224,12 +228,7 @@ def sweep(
             ih = n_warn - ch
             cs = n_steps - ch - is_ - ih
             kind_counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
-    return [
-        SweepCell(kind, per, aggregate([ConfusionCounts(*c) for c in per_counts.reshape(-1, 4).tolist()]),
-                  len(fleet), cfg.seeds)
-        for kind, kind_counts in zip(cfg.estimators, counts)
-        for per, per_counts in zip(cfg.pers, kind_counts)
-    ]
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ undefined values are excluded from the averages over runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
+    """One run's counts; a list of them is a (runs, 4) array-like, as a slab of the sweep's count array is."""
+
     ch: int = 0
     cs: int = 0
     is_: int = 0
@@ -33,19 +36,8 @@ class ConfusionCounts:
 def classify_step(truth_warn: bool, est_warn: bool, acc: ConfusionCounts) -> ConfusionCounts:
     """Fold one step's (truth, estimate) warning pair into the counts."""
     if truth_warn:
-        return replace(acc, ch=acc.ch + 1) if est_warn else replace(acc, is_=acc.is_ + 1)
-    return replace(acc, ih=acc.ih + 1) if est_warn else replace(acc, cs=acc.cs + 1)
-
-
-def true_positive(c: ConfusionCounts) -> Optional[float]:
-    """ch / (is_ + ch); None when no hazard steps existed."""
-    hazards = c.is_ + c.ch
-    return c.ch / hazards if hazards > 0 else None
-
-
-def accuracy(c: ConfusionCounts) -> Optional[float]:
-    """(ch + cs) / total; None on zero total."""
-    return (c.ch + c.cs) / c.total if c.total > 0 else None
+        return acc._replace(ch=acc.ch + 1) if est_warn else acc._replace(is_=acc.is_ + 1)
+    return acc._replace(ih=acc.ih + 1) if est_warn else acc._replace(cs=acc.cs + 1)
 
 
 @dataclass(frozen=True)
@@ -60,13 +52,22 @@ class MetricSummary:
     n_undefined_accuracy: int
 
 
-def aggregate(runs: Sequence[ConfusionCounts]) -> MetricSummary:
-    """Per-run ratios first, then the arithmetic mean of the defined ones."""
-    if not runs:
+def aggregate(runs: Sequence[ConfusionCounts] | np.ndarray) -> MetricSummary:
+    """Per-run ratios first, then the arithmetic mean of the defined ones.
+
+    runs holds one (ch, cs, is_, ih) row per run: a list of ConfusionCounts,
+    or a slab of the sweep's count array. The ratios are int64 quotients,
+    which equal Python's int / int below 2**53; the means and spreads add
+    in run order with Python's sum.
+    """
+    counts = np.asarray(runs, dtype=np.int64).reshape(-1, 4)
+    if not len(counts):
         raise ValueError("aggregate requires at least one run")
-    tps = [tp for c in runs if (tp := true_positive(c)) is not None]
-    accs = [a for c in runs if (a := accuracy(c)) is not None]
-    n = len(runs)
+    ch, cs, is_, _ = counts.T
+    hazards, total = ch + is_, counts.sum(axis=1)
+    tps = (ch[hazards > 0] / hazards[hazards > 0]).tolist()
+    accs = ((ch + cs)[total > 0] / total[total > 0]).tolist()
+    n = len(counts)
     return MetricSummary(
         mean_tp=sum(tps) / len(tps) if tps else None,
         mean_accuracy=sum(accs) / len(accs) if accs else None,

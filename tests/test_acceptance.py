@@ -40,7 +40,7 @@ from fcwsim.kinematics import (
     step_position_cv,
     step_velocity_ca,
 )
-from fcwsim.metrics import ConfusionCounts, accuracy, aggregate, classify_step, true_positive
+from fcwsim.metrics import ConfusionCounts, aggregate, classify_step
 from fcwsim.scenarios import GenConfig, generate_fleet
 from tracebuild import fold_trace
 
@@ -147,8 +147,8 @@ def test_criterion_2_equation_unit_suite():
     close(warning_range(VehicleState(0, 10, 1), VehicleState(0, 10, -1), p1)[1], 1.0)
 
     # metrics ratios
-    close(true_positive(ConfusionCounts(ch=8, is_=2)), 0.8)
-    close(accuracy(ConfusionCounts(ch=3, cs=5, is_=1, ih=1)), 0.8)
+    close(aggregate([ConfusionCounts(ch=8, is_=2)]).mean_tp, 0.8)
+    close(aggregate([ConfusionCounts(ch=3, cs=5, is_=1, ih=1)]).mean_accuracy, 0.8)
 
     print("PASS criterion 2: equation unit suite at 1e-9 relative tolerance")
 
@@ -294,10 +294,9 @@ def test_criterion_7_metrics_oracle():
     is_ = int(np.sum(truth & ~est))
     ih = int(np.sum(~truth & est))
     assert (counts.ch, counts.cs, counts.is_, counts.ih) == (ch, cs, is_, ih)
-    assert true_positive(counts) == ch / (is_ + ch)
-    assert accuracy(counts) == (ch + cs) / 100_000
     summary = aggregate([counts])
     assert summary.mean_tp == ch / (is_ + ch)
+    assert summary.mean_accuracy == (ch + cs) / 100_000
     print("PASS criterion 7: TP/accuracy equal brute-force recount over 10^5 labels")
 
 

@@ -2,8 +2,9 @@
 
 The oracle for one run is transmit/apply_mask -> estimate_stream ->
 evaluate, as `run_scenario` chains them. The kernel is estimate_batch ->
-warn_batch over many runs at once, and `sweep`/`run_cell` on top of it.
-Estimates must agree bit for bit, warnings and aggregated cells exactly.
+warn_batch over many runs at once, and `count_runs`/`sweep`/`run_cell` on
+top of it. Estimates must agree bit for bit, warnings, per-run counts and
+aggregated cells exactly.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from fcwsim import estimators
 from fcwsim.camp_linear import CampParams, evaluate, warn_batch
 from fcwsim.channel import apply_mask
 from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
-from fcwsim.harness import RunConfig, SweepCell, derive_seed, run_cell, run_scenario, sweep, truth_decisions
+from fcwsim.harness import RunConfig, SweepCell, count_runs, derive_seed, run_cell, run_scenario, sweep, truth_decisions
 from fcwsim.kinematics import SampleClock, VehicleState
-from fcwsim.metrics import aggregate
+from fcwsim.metrics import ConfusionCounts, aggregate
 from test_acceptance import KALMAN_TUNINGS
 from tracebuild import trace_from_states
 
@@ -112,23 +113,27 @@ def test_sweep_matches_scalar_runs(block, examples, monkeypatch):
 def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
     pers = (0.0, 0.4, 1.0)
 
-    def expected_cell(kind, per, kalman):
-        return SweepCell(kind, per, aggregate([
-            run_scenario(trace, kind, per, derive_seed(master_seed, trace.id, per, j), camp, kalman)[1]
-            for trace in fleet
-            for j in range(seeds)
-        ]), len(fleet), seeds)
+    def scalar_runs(kind, per, kalman):
+        """run_scenario's counts for one cell, one list of seeds per scenario."""
+        return [[run_scenario(trace, kind, per, derive_seed(master_seed, trace.id, per, j), camp, kalman)[1]
+                 for j in range(seeds)] for trace in fleet]
 
-    # The Kalman tuning does not reach a CV or CA run, so their expected cells serve every tuning.
-    dead_reckoning = {(kind, per): expected_cell(kind, per, None)
+    # The Kalman tuning does not reach a CV or CA run, so their runs serve every tuning.
+    dead_reckoning = {(kind, per): scalar_runs(kind, per, None)
                       for kind in (EstimatorKind.CONSTANT_VELOCITY, EstimatorKind.CONSTANT_ACCELERATION) for per in pers}
     truth = {trace.id: truth_decisions(trace, camp) for trace in fleet}
     for q, r in KALMAN_TUNINGS:
         cfg = RunConfig(pers=pers, seeds=seeds, camp=camp, kalman=KalmanConfig(q=q, r=r), master_seed=master_seed)
+        runs = [[scalar_runs(kind, per, cfg.kalman) if kind is EstimatorKind.KALMAN else dead_reckoning[kind, per]
+                 for per in pers] for kind in cfg.estimators]
+        counts = count_runs(fleet, cfg)
+        assert counts.shape == (len(cfg.estimators), len(pers), len(fleet), seeds, 4)
+        for e, p, i, j in np.ndindex(counts.shape[:-1]):
+            assert ConfusionCounts(*counts[e, p, i, j].tolist()) == runs[e][p][i][j], (e, p, i, j)
         expected = [
-            expected_cell(kind, per, cfg.kalman) if kind is EstimatorKind.KALMAN else dead_reckoning[kind, per]
-            for kind in cfg.estimators
-            for per in pers
+            SweepCell(kind, per, aggregate([c for scenario in runs[e][p] for c in scenario]), len(fleet), seeds)
+            for e, kind in enumerate(cfg.estimators)
+            for p, per in enumerate(pers)
         ]
         assert sweep(fleet, cfg) == expected
         for cell in expected:

@@ -1,11 +1,15 @@
 """Confusion counting and TP/accuracy ratios against brute-force recounts."""
 
+import json
 import statistics
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fcwsim.metrics import ConfusionCounts, accuracy, aggregate, classify_step, true_positive
+from fcwsim.metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
 
 
 def brute_force(pairs):
@@ -37,16 +41,16 @@ def test_classify_step_definitions():
 
 
 def test_true_positive_values():
-    assert true_positive(ConfusionCounts(ch=8, is_=2)) == pytest.approx(0.8, rel=1e-9)
-    assert true_positive(ConfusionCounts(ch=10)) == 1.0
-    assert true_positive(ConfusionCounts(cs=5, ih=3)) is None
+    assert aggregate([ConfusionCounts(ch=8, is_=2)]).mean_tp == pytest.approx(0.8, rel=1e-9)
+    assert aggregate([ConfusionCounts(ch=10)]).mean_tp == 1.0
+    assert aggregate([ConfusionCounts(cs=5, ih=3)]).mean_tp is None
 
 
 def test_accuracy_values():
-    assert accuracy(ConfusionCounts(ch=3, cs=5, is_=1, ih=1)) == pytest.approx(0.8, rel=1e-9)
-    assert accuracy(ConfusionCounts(ch=4, cs=6)) == 1.0
-    assert accuracy(ConfusionCounts(is_=2, ih=3)) == 0.0
-    assert accuracy(ConfusionCounts()) is None
+    assert aggregate([ConfusionCounts(ch=3, cs=5, is_=1, ih=1)]).mean_accuracy == pytest.approx(0.8, rel=1e-9)
+    assert aggregate([ConfusionCounts(ch=4, cs=6)]).mean_accuracy == 1.0
+    assert aggregate([ConfusionCounts(is_=2, ih=3)]).mean_accuracy == 0.0
+    assert aggregate([ConfusionCounts()]).mean_accuracy is None
 
 
 def test_matches_brute_force_recount():
@@ -64,8 +68,8 @@ def test_matches_brute_force_recount():
         ch, cs, is_, ih, tp, acc = brute_force(pairs)
         assert (counts.ch, counts.cs, counts.is_, counts.ih) == (ch, cs, is_, ih)
         assert counts.total == n
-        assert true_positive(counts) == tp
-        assert accuracy(counts) == acc
+        summary = aggregate([counts])
+        assert (summary.mean_tp, summary.mean_accuracy) == (tp, acc)
         if tp is not None:
             assert 0.0 <= tp <= 1.0
         assert 0.0 <= acc <= 1.0
@@ -75,9 +79,9 @@ def test_perfect_estimation_fixed_point():
     rng = np.random.default_rng(61)
     pairs = [(bool(rng.random() < 0.4),) * 2 for _ in range(500)]
     counts = classify_all(pairs)
-    assert accuracy(counts) == 1.0
-    tp = true_positive(counts)
-    assert tp is None or tp == 1.0
+    summary = aggregate([counts])
+    assert summary.mean_accuracy == 1.0
+    assert summary.mean_tp in (None, 1.0)
 
 
 def test_aggregate_means_and_exclusions():
@@ -110,3 +114,49 @@ def test_aggregate_spreads_are_population_std_over_defined_ratios():
 def test_aggregate_requires_input():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def per_run_loop(runs):
+    """Oracle: aggregate as a Python loop over ConfusionCounts, one int / int ratio per run."""
+    tps = [c.ch / (c.is_ + c.ch) for c in runs if c.is_ + c.ch > 0]
+    accs = [(c.ch + c.cs) / c.total for c in runs if c.total > 0]
+
+    def std(values):
+        if not values:
+            return None
+        mean = sum(values) / len(values)
+        return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+
+    return MetricSummary(
+        mean_tp=sum(tps) / len(tps) if tps else None,
+        mean_accuracy=sum(accs) / len(accs) if accs else None,
+        tp_std=std(tps),
+        accuracy_std=std(accs),
+        n_undefined_tp=len(runs) - len(tps),
+        n_undefined_accuracy=len(runs) - len(accs),
+    )
+
+
+_count = st.one_of(st.integers(0, 200), st.integers(0, 2**50))  # run lengths, and sums still below 2**53
+_rows = st.one_of(
+    st.tuples(_count, _count, _count, _count),
+    st.tuples(st.just(0), _count, st.just(0), _count),  # no truth-hazard step: TP undefined
+    st.just((0, 0, 0, 0)),  # no step: both ratios undefined
+)
+
+
+_cell = np.random.default_rng(21).integers(0, 152, (2000, 4))  # as many runs as a default sweep cell
+_cell[::7, 0::2] = 0  # no truth-hazard step
+_cell[::50] = 0  # no step
+
+
+@given(rows=st.lists(_rows, min_size=1, max_size=100))
+@example(rows=_cell.tolist())
+def test_aggregate_of_a_count_array_equals_the_per_run_loop(rows):
+    expected = per_run_loop([ConfusionCounts(*row) for row in rows])
+    slab = np.array(rows, dtype=np.int64)[:, None, :]  # (scenario, seed, 4), as sweep passes its slabs
+    for runs in (slab, [ConfusionCounts(*row) for row in rows]):
+        summary = aggregate(runs)
+        assert summary == expected
+        assert [type(v) for v in astuple(summary)] == [type(v) for v in astuple(expected)]
+        json.dumps(asdict(summary))

@@ -108,13 +108,16 @@ def test_generation_deterministic():
 
 
 _finite = st.floats(-1e300, 1e300)  # every difference hi - lo stays finite, as numpy requires
-_ranges = st.lists(st.one_of(st.tuples(_finite, _finite).map(sorted), _finite.map(lambda v: (v, v))),
+# numpy takes (-0.0, 0.0) but refuses (0.0, -0.0), so a signed zero sorts below an unsigned one.
+_ordered = st.tuples(_finite, _finite).map(lambda t: sorted(t, key=lambda v: (v, math.copysign(1.0, v))))
+_ranges = st.lists(st.one_of(_ordered, _finite.map(lambda v: (v, v))),
                    min_size=1, max_size=6)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), ranges=_ranges, n=st.integers(1, 9))
 @example(seed=0, ranges=[(15.0, 30.0), (15.0, 30.0), (0.8, 2.5), (-8.0, -2.0), (2.0, 5.0)], n=7)
+@example(seed=0, ranges=[(-0.0, 0.0)], n=1)
 @example(seed=2**32 - 1, ranges=[(0.0, 1.0)], n=1)
 @example(seed=2**32, ranges=[(-1.0, -1.0), (0.0, 1.0)], n=3)
 @example(seed=2**63, ranges=[(-1e300, 1e300)], n=5)
@@ -123,6 +126,13 @@ def test_generator_draws_match_numpy_uniform(seed, ranges, n):
     rng = np.random.Generator(np.random.Philox(seed))
     expected = [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(n)]
     assert _uniform_draws(seed, ranges, n).tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 9))
+@example(seed=0, n=1)
+def test_reversed_signed_zero_range_draws_as_zero_range(seed, n):
+    # `gen --onset=0:-0` passes GenConfig; numpy's uniform(0.0, -0.0) would refuse the range, this draws zeros.
+    assert _uniform_draws(seed, [(0.0, -0.0)], n).tobytes() == _uniform_draws(seed, [(0.0, 0.0)], n).tobytes()
 
 
 def test_gen_config_takes_the_seeds_philox_takes():
