@@ -22,15 +22,25 @@ jobs:
   - gen: `gen --n 20 --seed 0` alone, timed, the benchmark's `grid-full`
     set-up.
 
+A fresh process's CPU time also counts interpreter start-up and imports,
+and the host's speed drifts between spells, so the default job spreads
+too widely to resolve a change of a few tenths of a second. So each pair
+also measures `load_fleet` plus the default `sweep` inside one fresh
+process on the default job's fleet: the minimum CPU seconds
+(`time.process_time`) of REPEATS passes, the process's start-up and
+imports left out.
+
 Each job's fleet and outputs (summary files, or the step log) must be
-byte-identical between the trees, and so must the step logs of a few
-untimed `run` calls (RUNS, covering every estimator) on the default
-job's fleet. The JSON holds, per job and tree, the median and quartiles
-of wall and CPU seconds and of peak RSS (`ru_maxrss`, in MB) and every
-run, the pairs the change won, `nproc`, the Python and numpy versions
-and each tree's `src/fcwsim` line count. Stdout gets one line per job:
-both trees' median CPU seconds and peak RSS, the pairs the change won on
-each, and the line counts.
+byte-identical between the trees, and so must the in-process sweep's
+summary files and the step logs of a few untimed `run` calls (RUNS,
+covering every estimator) on the default job's fleet. The JSON holds,
+per job and tree, the median and quartiles of wall and CPU seconds and
+of peak RSS (`ru_maxrss`, in MB) and every run, the pairs the change
+won, the same for the in-process sweep's CPU seconds, `nproc`, the
+Python and numpy versions and each tree's `src/fcwsim` line count.
+Stdout gets one line per job: both trees' median CPU seconds and peak
+RSS, the pairs the change won on each, and the line counts; and one line
+for the in-process sweep.
 """
 
 from __future__ import annotations
@@ -60,6 +70,23 @@ JOBS = {  # name: (fleet size, whether `gen` is timed, the timed command after i
 OUTPUTS = {"sweep": ("summary.csv", "summary.json"), "run": ("step_log.csv",)}  # compared between the trees
 PAIRS = 10  # a gain counts when the change wins 9 of 10 pairs
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+REPEATS = 3  # in-process `load_fleet` + `sweep` passes per process; the fastest is kept
+IN_PROCESS = """\
+import sys, time
+from pathlib import Path
+import fcwsim.cli  # sets OPENBLAS_NUM_THREADS before numpy loads, as the command does
+from fcwsim.harness import RunConfig, sweep, write_summary_csv, write_summary_json
+from fcwsim.scenarios import load_fleet
+fleet_dir, out, repeats = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3])
+cpu = []
+for _ in range(repeats):
+    start = time.process_time()
+    cells = sweep(load_fleet(fleet_dir), RunConfig())
+    cpu.append(time.process_time() - start)
+write_summary_csv(cells, out / "summary.csv")
+write_summary_json(cells, RunConfig(), out / "summary.json")
+print(min(cpu))
+"""
 RUNS = [  # untimed `run` calls on the default fleet, whose step logs must match
     ["--scenario", "s0011", "--estimator", "kalman", "--per", "0.2", "--seed", "3"],
     ["--scenario", "s0042", "--estimator", "kalman", "--per", "0.9", "--seed", "1"],
@@ -100,6 +127,18 @@ def job(tree: Path, name: str) -> tuple[float, float, float]:
     return gen[0] + wall, gen[1] + cpu, max(gen[2], rss)
 
 
+def in_process_sweep(tree: Path) -> float:
+    """Fastest of REPEATS `load_fleet` + default `sweep` passes over tree/default-fleet in one fresh process, in
+    CPU seconds; the summaries land in tree/in-process-out."""
+    out = tree / "in-process-out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    done = subprocess.run([sys.executable, "-c", IN_PROCESS, str(tree / "default-fleet"), str(out), str(REPEATS)],
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True, text=True,
+                          check=True)
+    return float(done.stdout)
+
+
 def outputs(tree: Path, name: str) -> dict[str, bytes]:
     """A job's fleet files and outputs, by path relative to tree."""
     timed = JOBS[name][2]
@@ -134,6 +173,7 @@ def main() -> None:
     args = parser.parse_args()
     sources = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times = {name: {side: ([], [], []) for side in sources} for name in JOBS}
+    in_process = {side: [] for side in sources}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in sources}
         for side, tree in trees.items():
@@ -148,6 +188,12 @@ def main() -> None:
                 if a != b:
                     differ = sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
                     raise RuntimeError(f"{name}: {', '.join(differ)} differ between the trees")
+            for side in order:
+                in_process[side].append(in_process_sweep(trees[side]))
+            a, b = ({path.name: path.read_bytes() for path in (tree / "in-process-out").iterdir()}
+                    for tree in trees.values())
+            if a != b:
+                raise RuntimeError("in-process sweep: summaries differ between the trees")
             print(f"pair {i}/{PAIRS} done", file=sys.stderr)
         check_step_logs(trees)
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -168,6 +214,12 @@ def main() -> None:
             }
             for name, sides in times.items()
         },
+        "in_process_sweep": {
+            "what": "load_fleet + default sweep on gen --n 100 --seed 0, CPU s, fastest of `repeats` in one process",
+            "repeats": REPEATS,
+            **{side: spread(values) for side, values in in_process.items()},
+            "change_wins": sum(c < p for p, c in zip(in_process["parent"], in_process["change"])),
+        },
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     lines = result["src_lines"]
@@ -177,6 +229,9 @@ def main() -> None:
               f"{r['parent']['peak_rss_mb']['median']:.2f} -> {r['change']['peak_rss_mb']['median']:.2f} MB, "
               f"change wins {r['change_wins']['peak_rss_mb']}/{PAIRS}, "
               f"src_lines {lines['parent']} -> {lines['change']}")
+    r = result["in_process_sweep"]
+    print(f"in-process sweep: CPU median {r['parent']['median']:.3f} -> {r['change']['median']:.3f} s, "
+          f"change wins {r['change_wins']}/{PAIRS}")
 
 
 if __name__ == "__main__":

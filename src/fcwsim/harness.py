@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ except ImportError:
         from hashlib import sha256
 
 SEED_DOMAIN = "fcwsim:v1"
-Truth = dict[str, list[WarningDecision]]  # truth_decisions per scenario id
 
 
 def derive_seed(master_seed: int, scenario_id: str, per: float, seed_index: int) -> int:
@@ -150,23 +149,23 @@ def run_scenario(
 
 
 def run_cell(fleet: Sequence[ScenarioTrace], kind: EstimatorKind, per: float, cfg: RunConfig,
-             truth: Optional[Truth] = None) -> SweepCell:
-    """Aggregate one (estimator, PER) cell over all scenarios and seed indices, as `sweep` would."""
-    return sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)), truth)[0]
+             truth: object = None) -> SweepCell:
+    """One (estimator, PER) cell as `sweep` gives it; `truth` has no effect (truth always follows cfg.camp)."""
+    return sweep(fleet, replace(cfg, estimators=(kind,), pers=(per,)))[0]
 
 
-def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[Truth] = None) -> list[SweepCell]:
+def sweep(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> list[SweepCell]:
     """Full (estimator, PER) cross product, averaged over scenarios x seeds.
 
     Cells come in the configured (estimator, PER) order, and each is
     `aggregate` over its slab of `count_runs`'s array.
     """
-    counts = count_runs(fleet, cfg, truth)
+    counts = count_runs(fleet, cfg)
     return [SweepCell(kind, per, aggregate(per_counts), len(fleet), cfg.seeds)
             for kind, kind_counts in zip(cfg.estimators, counts) for per, per_counts in zip(cfg.pers, kind_counts)]
 
 
-def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[Truth] = None) -> np.ndarray:
+def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     """Every run's (ch, cs, is_, ih) as an (estimator, PER, scenario, seed, 4) int64 array.
 
     Entry [e, p, i, j] is what `run_scenario` counts for fleet[i] under
@@ -178,15 +177,14 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[T
     every estimator steps all of the group's runs through time together on
     them, before the next group's arrays are built. Warnings are evaluated
     and counted once per block `estimate_batch` yields. Truth warnings come
-    from `truth` ({id: decisions}) when given, else from the same batched
-    warning evaluation on the exact LV states.
+    from blocks of the same evaluation on the exact LV states under cfg.camp.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
     seen = set()
     for trace in fleet:
         if trace.id in seen:
-            raise ConfigError(f"duplicate scenario id {trace.id!r}: truth and loss masks are keyed by id")
+            raise ConfigError(f"duplicate scenario id {trace.id!r}: loss masks are keyed by id")
         seen.add(trace.id)
 
     by_shape: dict[tuple[int, float], list[int]] = {}
@@ -198,15 +196,12 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig, truth: Optional[T
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
         lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
         fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
-        if truth is None:
-            truth_warn = np.empty((n_steps, 1, len(traces), 1), dtype=bool)
-            size = block_steps(len(traces))
-            for k0 in range(0, n_steps, size):
-                block = slice(k0, k0 + size)
-                truth_warn[block] = warn_batch(lv[0][block] - fv[0][block] - cfg.camp.length_offset,
-                                               fv[1][block], fv[2][block], lv[1][block], lv[2][block], cfg.camp)
-        else:
-            truth_warn = np.array([[d.warn for d in truth[t.id]] for t in traces]).T[:, None, :, None]
+        truth_warn = np.empty((n_steps, 1, len(traces), 1), dtype=bool)
+        size = block_steps(len(traces))
+        for k0 in range(0, n_steps, size):
+            block = slice(k0, k0 + size)
+            truth_warn[block] = warn_batch(lv[0][block] - fv[0][block] - cfg.camp.length_offset,
+                                           fv[1][block], fv[2][block], lv[1][block], lv[2][block], cfg.camp)
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)
                  for per in cfg.pers for t in traces for j in range(cfg.seeds)]
         pers = np.repeat(cfg.pers, len(traces) * cfg.seeds)

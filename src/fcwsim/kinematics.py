@@ -58,25 +58,23 @@ class SampleClock:
             raise ValueError(f"sample period must be positive: t_s={self.t_s}")
 
 
-def _check_finite(**values: float) -> None:
+def _check_step(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"non-finite input: {name}={value}")
+    if values["dt"] <= 0.0:
+        raise ValueError(f"dt must be positive: {values['dt']}")
 
 
 def step_position_cv(x: float, v: float, dt: float) -> float:
     """Advance position by dt at constant speed: x + v*dt."""
-    _check_finite(x=x, v=v, dt=dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive: {dt}")
+    _check_step(x=x, v=v, dt=dt)
     return x + v * dt
 
 
 def step_velocity_ca(v: float, a: float, dt: float) -> float:
     """Advance speed by dt at constant acceleration, clamped at rest: max(0, v + a*dt)."""
-    _check_finite(v=v, a=a, dt=dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive: {dt}")
+    _check_step(v=v, a=a, dt=dt)
     return max(0.0, v + a * dt)
 
 
@@ -88,9 +86,7 @@ def step_position_ca(x: float, v: float, a: float, dt: float) -> float:
     braking vehicle ends exactly at its rest position instead of rolling
     backwards.
     """
-    _check_finite(x=x, v=v, a=a, dt=dt)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive: {dt}")
+    _check_step(x=x, v=v, a=a, dt=dt)
     if v + a * dt < 0.0:
         t_stop = -v / a
         return x + v * t_stop + 0.5 * a * t_stop * t_stop

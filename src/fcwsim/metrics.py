@@ -15,6 +15,8 @@ undefined values are excluded from the averages over runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -58,7 +60,7 @@ def aggregate(runs: Sequence[ConfusionCounts] | np.ndarray) -> MetricSummary:
     runs holds one (ch, cs, is_, ih) row per run: a list of ConfusionCounts,
     or a slab of the sweep's count array. The ratios are int64 quotients,
     which equal Python's int / int below 2**53; the means and spreads add
-    in run order with Python's sum.
+    them left to right in run order, as `sum` did before CPython 3.12.
     """
     counts = np.asarray(runs, dtype=np.int64).reshape(-1, 4)
     if not len(counts):
@@ -69,8 +71,8 @@ def aggregate(runs: Sequence[ConfusionCounts] | np.ndarray) -> MetricSummary:
     accs = ((ch + cs)[total > 0] / total[total > 0]).tolist()
     n = len(counts)
     return MetricSummary(
-        mean_tp=sum(tps) / len(tps) if tps else None,
-        mean_accuracy=sum(accs) / len(accs) if accs else None,
+        mean_tp=reduce(add, tps, 0.0) / len(tps) if tps else None,
+        mean_accuracy=reduce(add, accs, 0.0) / len(accs) if accs else None,
         tp_std=_std(tps),
         accuracy_std=_std(accs),
         n_undefined_tp=n - len(tps),
@@ -81,5 +83,5 @@ def aggregate(runs: Sequence[ConfusionCounts] | np.ndarray) -> MetricSummary:
 def _std(values: list[float]) -> Optional[float]:
     if not values:
         return None
-    mean = sum(values) / len(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+    mean = reduce(add, values, 0.0) / len(values)
+    return (reduce(add, ((v - mean) ** 2 for v in values), 0.0) / len(values)) ** 0.5

@@ -63,13 +63,9 @@ class ScenarioTrace:
         data = np.array(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != len(CSV_COLUMNS):
             raise ValueError(f"trace {self.id}: data must have shape (steps, 7), got {data.shape}")
-        if len(data) < 2:
-            raise ValueError(f"trace {self.id}: needs at least 2 steps, got {len(data)}")
-        fault = _bad_value(data) or _bad_timing(data[:, 0]) or _bad_reach(data)
+        fault = _first_fault(data)
         if fault:
             raise ValueError(f"trace {self.id}: step {fault[0]}: {fault[1]}")
-        if float(data[0, 1]) - float(data[0, 4]) <= 0.0:
-            raise ValueError(f"trace {self.id}: initial gap must be positive")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "t_s", float(data[1, 0]) - float(data[0, 0]))
@@ -98,6 +94,17 @@ class ScenarioTrace:
 
     def steps(self) -> Iterator[tuple[TimedState, TimedState]]:
         return zip(self.lv, self.fv)
+
+
+def _first_fault(data: np.ndarray) -> tuple[int, str] | None:
+    """A (steps, 7) trace array's first fault and its step, or None. In order: fewer than 2 steps (at the
+    first missing step), _bad_value's, _bad_timing's and _bad_reach's faults, a non-positive initial gap."""
+    if len(data) < 2:
+        return len(data), f"needs at least 2 steps, got {len(data)}"
+    fault = _bad_value(data) or _bad_timing(data[:, 0]) or _bad_reach(data)
+    if fault is None and float(data[0, 1]) - float(data[0, 4]) <= 0.0:
+        fault = 0, "initial gap must be positive"
+    return fault
 
 
 def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
@@ -299,11 +306,10 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
     The data rows are parsed by one np.loadtxt call and validated by
     ScenarioTrace. If either fails, the rows are parsed again one at a time
     with Python's float(), which also takes syntax loadtxt rejects (1_000,
-    non-ASCII digits), and a fault is reported for its row: faults confined
-    to one row (field count, non-numeric, non-finite, negative speed,
-    overflowing x_lv - x_fv) for the first such row; faults of the sequence
-    (row count, time origin, sampling, a row whose state could dead-reckon
-    to overflow, initial gap) after them.
+    non-ASCII digits), and ScenarioTrace's first fault (_first_fault) is
+    reported for its row. A row that does not parse (field count,
+    non-numeric) ends the rows; a value fault above it is reported first,
+    else the parse error.
     """
     path = Path(path)
     trace_id = path.stem if trace_id is None else trace_id
@@ -351,20 +357,13 @@ def load_csv(path: Path | str, trace_id: str | None = None) -> ScenarioTrace:
         row_nos.append(row_no)
 
     data = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))[:, order]
-    fault = _bad_value(data)
+    fault = _bad_value(data) if parse_error else _first_fault(data)
     if fault:
+        row_nos.append(row_nos[-1] + 1 if row_nos else 2)  # the row of a step past the last
         raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
     if parse_error:
         raise TraceFormatError(f"{path}: {parse_error}")
-    if len(data) < 2:
-        raise TraceFormatError(f"{path}: needs at least 2 data rows, got {len(data)}")
-    fault = _bad_timing(data[:, 0]) or _bad_reach(data)
-    if fault:
-        raise TraceFormatError(f"{path}: row {row_nos[fault[0]]}: {fault[1]}")
-    try:
-        return ScenarioTrace(trace_id, data)
-    except ValueError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+    return ScenarioTrace(trace_id, data)
 
 
 def save_fleet(traces: Sequence[ScenarioTrace], out_dir: Path | str) -> Path:
@@ -408,7 +407,7 @@ def _read_manifest(fleet_dir: Path) -> tuple[Path, float | None, dict[str, Path]
     """Check a fleet manifest; returns its path, its t_s and each scenario's CSV path by id.
 
     Rejects manifests that would corrupt results without failing: repeated
-    ids (truth and loss masks are keyed by id) and files outside the fleet
+    ids (loss masks are keyed by id) and files outside the fleet
     directory. The CSVs themselves are not opened.
     """
     manifest_path = fleet_dir / MANIFEST_NAME

@@ -31,7 +31,7 @@ from fcwsim.estimators import (
     kalman_init,
     kalman_predict,
 )
-from fcwsim.harness import RunConfig, derive_seed, run_cell, truth_decisions
+from fcwsim.harness import RunConfig, derive_seed, run_cell
 from fcwsim.kinematics import (
     SampleClock,
     TimedState,
@@ -63,7 +63,6 @@ def fleet():
 def cell_cache(fleet):
     """Aggregated (estimator, per, q, r) cells at 50 seeds, computed lazily."""
     cache = {}
-    truth = {trace.id: truth_decisions(trace, CampParams()) for trace in fleet}
 
     def get(kind, per, q=1.0, r=0.01):
         key = (kind, per, q, r)
@@ -71,7 +70,7 @@ def cell_cache(fleet):
             cfg = RunConfig(estimators=(kind,), pers=(per,), seeds=SEEDS,
                             kalman=KalmanConfig(q=q, r=r))
             start = time.perf_counter()
-            cell = run_cell(fleet, kind, per, cfg, truth)
+            cell = run_cell(fleet, kind, per, cfg)
             cache[key] = (cell, time.perf_counter() - start)
         return cache[key]
 
@@ -81,9 +80,8 @@ def cell_cache(fleet):
 def test_criterion_1_zero_loss_perfection(fleet):
     start = time.perf_counter()
     results = {}
-    truth = {trace.id: truth_decisions(trace, CampParams()) for trace in fleet}
     for kind in (CV, CA, KALMAN):
-        cell = run_cell(fleet, kind, 0.0, RunConfig(estimators=(kind,), pers=(0.0,), seeds=1), truth)
+        cell = run_cell(fleet, kind, 0.0, RunConfig(estimators=(kind,), pers=(0.0,), seeds=1))
         results[kind] = (cell.summary.mean_tp, cell.summary.mean_accuracy)
     elapsed = time.perf_counter() - start
     for kind, (tp, acc) in results.items():

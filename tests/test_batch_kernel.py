@@ -121,7 +121,6 @@ def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
     # The Kalman tuning does not reach a CV or CA run, so their runs serve every tuning.
     dead_reckoning = {(kind, per): scalar_runs(kind, per, None)
                       for kind in (EstimatorKind.CONSTANT_VELOCITY, EstimatorKind.CONSTANT_ACCELERATION) for per in pers}
-    truth = {trace.id: truth_decisions(trace, camp) for trace in fleet}
     for q, r in KALMAN_TUNINGS:
         cfg = RunConfig(pers=pers, seeds=seeds, camp=camp, kalman=KalmanConfig(q=q, r=r), master_seed=master_seed)
         runs = [[scalar_runs(kind, per, cfg.kalman) if kind is EstimatorKind.KALMAN else dead_reckoning[kind, per]
@@ -138,7 +137,6 @@ def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
         assert sweep(fleet, cfg) == expected
         for cell in expected:
             assert run_cell(fleet, cell.estimator, cell.per, cfg) == cell
-            assert run_cell(fleet, cell.estimator, cell.per, cfg, truth) == cell
 
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))

@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +208,21 @@ def test_main_leaves_the_callers_gc_state(tmp_path, fleet_dir, enabled):
             assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_installed_command_starts_up_as_the_module_does(tmp_path):
+    # The installed `fcwsim` script imports pyproject.toml's entry point and exits with what calling it returns.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^fcwsim = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+              f"from {module} import {function}\n"
+              f"sys.exit({function}())\n")
+    src = str(Path(fcwsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, "gen", "--n", "2", "--out", str(tmp_path / "gen")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [f"wrote 2 scenarios to {tmp_path / 'gen'}", "True True"]
 
 
 def test_gen_rejects_a_seed_outside_philox_range(tmp_path, capsys):

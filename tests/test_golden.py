@@ -17,6 +17,7 @@ became one. Any change that moves a single output byte fails here.
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import fcwsim
+from fcwsim import metrics
 from fcwsim.cli import main
 from fcwsim.scenarios import load_fleet, save_fleet
 
@@ -41,11 +43,31 @@ def _assert_golden_summaries(out):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs from golden"
 
 
-def test_sweep_matches_golden_bytes(tmp_path):
+def _check_golden_sweep(tmp_path):
     fleet_dir, out = tmp_path / "fleet", tmp_path / "out"
     assert main(["gen", "--n", "6", "--seed", "2", "--out", str(fleet_dir)]) == 0
     assert main(["sweep", "--fleet", str(fleet_dir), *GOLDEN_SWEEP, "--out", str(out)]) == 0
     _assert_golden_summaries(out)
+
+
+def test_sweep_matches_golden_bytes(tmp_path):
+    _check_golden_sweep(tmp_path)
+
+
+def _neumaier_sum(values, start=0):
+    """The built-in sum over floats as CPython 3.12 and later compute it: Neumaier-compensated."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_golden_sweep_bytes_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # The golden files come from CPython 3.11, whose sum adds left to right; 3.12's compensates.
+    monkeypatch.setattr(metrics, "sum", _neumaier_sum, raising=False)
+    _check_golden_sweep(tmp_path)
 
 
 def _step_log_digests(cli, fleet_dir, tmp_path):

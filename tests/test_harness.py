@@ -133,6 +133,17 @@ def test_sweep_zero_loss_is_perfect(fleet):
         assert cell.summary.mean_accuracy == 1.0
 
 
+def test_truth_always_follows_the_cells_camp_params():
+    # Truth decisions made under other CAMP parameters do not reach a cell: at zero loss it stays perfect.
+    fleet = generate_fleet(GenConfig(n_scenarios=10, seed=0))
+    cfg = RunConfig(pers=(0.0,), seeds=1, camp=CampParams(t_d=3.0))
+    stale = {trace.id: truth_decisions(trace, CampParams()) for trace in fleet}
+    for kind in ALL_KINDS:
+        cell = run_cell(fleet, kind, 0.0, cfg, stale)
+        assert cell == run_cell(fleet, kind, 0.0, cfg)
+        assert (cell.summary.mean_tp, cell.summary.mean_accuracy) == (1.0, 1.0)
+
+
 def test_sweep_input_validation(fleet, tmp_path):
     with pytest.raises(ConfigError):
         sweep([], RunConfig())

@@ -263,7 +263,7 @@ def test_load_csv_row_errors(tmp_path, rows, fragment):
         ("-1e-10,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got -1e-10"),
         ("1e-10,20,10,0,0,8,0\n0.1,21,10,0,0.8,8,0\n", "row 2: time origin must be 0, got 1e-10"),
         ("0.0,20,10,0,0,8,0\n1e308,21,10,0,0.8,8,0\n-1e308,22,10,0,1.6,8,0\n", r"row 4: non-uniform sampling \(dt=-inf"),
-        ("0.0,0,10,0,0,8,0\n0.1,1,10,0,0.8,8,0\n", "trace bad: initial gap"),
+        ("0.0,0,10,0,0,8,0\n0.1,1,10,0,0.8,8,0\n", "row 2: initial gap must be positive"),
     ],
 )
 def test_load_csv_reports_the_first_bad_row(tmp_path, rows, fragment):
@@ -271,6 +271,29 @@ def test_load_csv_reports_the_first_bad_row(tmp_path, rows, fragment):
     path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n" + rows)
     with pytest.raises(TraceFormatError, match=fragment):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, np.nan, 10.0, 0.0, 0.0, 8.0, 0.0]],
+        [],
+        [[0.0, 0.0, 10.0, 0.0, 0.0, 8.0, 0.0], [0.1, 1.0, 10.0, 0.0, 0.8, 8.0, 0.0]],
+        [[0.0, 20.0, 10.0, 0.0, 0.0, 8.0, 0.0], [0.1, 21.0, -1.0, 0.0, 0.8, 8.0, 0.0], [0.3, np.inf, 10.0, 0.0, 1.6, 8.0, 0.0]],
+    ],
+    ids=["one-row-nan", "no-rows", "initial-gap", "negative-speed-first"],
+)
+def test_load_csv_reports_the_fault_scenario_trace_raises(tmp_path, rows):
+    # Step k of the array is row k + 2 of the file (after the header); a missing step is the row after the last.
+    data = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    with pytest.raises(ValueError) as from_array:
+        ScenarioTrace("t", data)
+    path = tmp_path / "t.csv"
+    path.write_text("t,x_lv,v_lv,a_lv,x_fv,v_fv,a_fv\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    with pytest.raises(TraceFormatError) as from_csv:
+        load_csv(path)
+    step, fault = str(from_array.value).removeprefix("trace t: step ").split(": ", 1)
+    assert str(from_csv.value) == f"{path}: row {int(step) + 2}: {fault}"
 
 
 def test_blank_lines_are_skipped_but_shift_row_numbers(tmp_path):
