@@ -53,14 +53,6 @@ from .kinematics import (
 )
 
 
-# Run-steps per block that `estimate_batch` yields: 32 KB per float64
-# array. A block spreads numpy's per-call cost over its steps; its size
-# bounds the extra memory, which raised the peak RSS of a 200-run sweep
-# (20 scenarios x 10 PERs x 1 seed) by 1%, 36.5 -> 36.8 MB on x86-64
-# Linux. Groups of 4,096 runs or more get one step per block.
-BLOCK = 4096
-
-
 class EstimatorKind(Enum):
     CONSTANT_VELOCITY = "cv"
     CONSTANT_ACCELERATION = "ca"
@@ -215,11 +207,6 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
     return estimates
 
 
-def block_steps(n_runs: int) -> int:
-    """Steps per block of `n_runs` runs: about BLOCK run-steps, and at least one step."""
-    return max(1, BLOCK // max(1, n_runs))
-
-
 def estimate_batch(
     lv_x: np.ndarray,
     lv_v: np.ndarray,
@@ -228,51 +215,39 @@ def estimate_batch(
     kind: EstimatorKind,
     dt: float,
     kcfg: Optional[KalmanConfig] = None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """`estimate_stream` for many runs at once, a block of steps at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`estimate_stream` for many runs at once, one step at a time.
 
     delivered[k] is step k's delivery mask over all runs (shape: the run
     shape); lv_x[k], lv_v[k], lv_a[k] are the sender's state at step k,
-    broadcastable to the run shape. Yields (k0, x, v, a) for consecutive
-    blocks of steps: x[i], v[i], a[i] are the estimates of step k0 + i,
-    each block array is shaped (steps in block, *run shape) and newly
-    allocated. Each run's estimates are bitwise those `estimate_stream`
-    gives for its slots: the dead-reckoning updates are the scalar
-    expressions applied elementwise, and the Kalman filter is the same
-    `kalman_predict` and `kalman_correct`. An estimate that overflows is a
-    TraceFormatError whose `run` is the index of the first non-finite run.
+    broadcastable to the run shape. Yields every step's (x, v, a), each
+    broadcastable to the run shape and never written to again. Each run's
+    estimates are bitwise those `estimate_stream` gives for its slots: the
+    dead-reckoning updates are the scalar expressions applied elementwise,
+    and the Kalman filter is the same `kalman_predict` and `kalman_correct`.
+    An estimate that overflows is yielded as it is, non-finite; the caller
+    checks it.
     """
     if len(delivered) == 0 or not delivered[0].all():
         raise ValueError("estimate_batch requires every run's slot 0 delivered")
     kcfg = kcfg or KalmanConfig()
-    n_steps, run_shape = len(delivered), delivered.shape[1:]
+    run_shape = delivered.shape[1:]
     x, v, a = (np.broadcast_to(col[0], run_shape) for col in (lv_x, lv_v, lv_a))
     s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, run_shape + (2, 2)), a)
-    size = block_steps(delivered[0].size)
-    for k0 in range(0, n_steps, size):
-        block = np.empty((3, min(size, n_steps - k0), *run_shape))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block
-            for i, k in enumerate(range(k0, k0 + block.shape[1])):
-                d = delivered[k]
-                if k and kind is EstimatorKind.KALMAN:
-                    predicted = kalman_predict(s, dt, kcfg.q)
-                    corrected = kalman_correct(predicted, lv_x[k], kcfg.r)  # kept only where the slot was delivered
-                    s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
-                                    np.where(d[..., None, None], corrected.cov, predicted.cov),
-                                    np.where(d, lv_a[k], s.held_input))
-                    x, v, a = s.mean[..., 1], s.mean[..., 0], s.held_input
-                elif k:
-                    if kind is EstimatorKind.CONSTANT_VELOCITY:
-                        px, pv, pa = x + v * dt, v, 0.0
-                    else:
-                        (px, pv), pa = step_ca_batch(x, v, a, dt), a
-                    x, v, a = np.where(d, lv_x[k], px), np.where(d, lv_v[k], pv), np.where(d, lv_a[k], pa)
-                block[0, i], block[1, i], block[2, i] = x, v, a
-            if kind is EstimatorKind.KALMAN:  # speed clamped at rest, as kalman_emit's max(0.0, v)
-                block[1] = np.where(block[1] > 0.0, block[1], 0.0)
-        if not np.isfinite(block).all():
-            error = TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + block.shape[1] - 1} "
-                                     f"(the LV trace overflows the {kind.value} estimator)")
-            error.run = tuple(np.argwhere(~np.isfinite(block).all(axis=(0, 1)))[0])
-            raise error
-        yield k0, block[0], block[1], block[2]
+    for k, d in enumerate(delivered):
+        if k and kind is EstimatorKind.KALMAN:
+            predicted = kalman_predict(s, dt, kcfg.q)
+            corrected = kalman_correct(predicted, lv_x[k], kcfg.r)  # kept only where the slot was delivered
+            s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
+                            np.where(d[..., None, None], corrected.cov, predicted.cov),
+                            np.where(d, lv_a[k], s.held_input))
+            x, v, a = s.mean[..., 1], s.mean[..., 0], s.held_input
+        elif k:
+            if kind is EstimatorKind.CONSTANT_VELOCITY:
+                px, pv, pa = x + v * dt, v, 0.0
+            else:
+                (px, pv), pa = step_ca_batch(x, v, a, dt), a
+            x, v, a = np.where(d, lv_x[k], px), np.where(d, lv_v[k], pv), np.where(d, lv_a[k], pa)
+        if kind is EstimatorKind.KALMAN:  # speed clamped at rest, as kalman_emit's max(0.0, v); s stays unclamped
+            v = np.where(v > 0.0, v, 0.0)
+        yield x, v, a

@@ -30,10 +30,6 @@ class ConfusionCounts(NamedTuple):
     is_: int = 0
     ih: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.ch + self.cs + self.is_ + self.ih
-
 
 def classify_step(truth_warn: bool, est_warn: bool, acc: ConfusionCounts) -> ConfusionCounts:
     """Fold one step's (truth, estimate) warning pair into the counts."""

@@ -4,7 +4,8 @@ The oracle for one run is transmit/apply_mask -> estimate_stream ->
 evaluate, as `run_scenario` chains them. The kernel is estimate_batch ->
 warn_batch over many runs at once, and `count_runs`/`sweep`/`run_cell` on
 top of it. Estimates must agree bit for bit, warnings, per-run counts and
-aggregated cells exactly.
+aggregated cells exactly, and an overflowing estimate must be named by
+its steps and scenario at every block size.
 """
 
 import numpy as np
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcwsim import estimators
+from fcwsim import harness
 from fcwsim.camp_linear import CampParams, evaluate, warn_batch
 from fcwsim.channel import apply_mask
 from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
+from fcwsim.errors import TraceFormatError
 from fcwsim.harness import RunConfig, SweepCell, count_runs, derive_seed, run_cell, run_scenario, sweep, truth_decisions
 from fcwsim.kinematics import SampleClock, VehicleState
 from fcwsim.metrics import ConfusionCounts, aggregate
+from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet
 from test_acceptance import KALMAN_TUNINGS
 from tracebuild import trace_from_states
 
@@ -80,10 +83,7 @@ def test_kernel_matches_scalar_oracle_run_by_run(data, fleet, camp):
         truth = warn_batch(lv[0] - fv_x - off, fv_v, fv_a, lv[1], lv[2], camp)[:, 0]
         assert truth.tolist() == [d.warn for d in truth_decisions(trace, camp)]
         for kind, kcfg in CONFIGS:
-            steps = []
-            for k0, x, v, a in estimate_batch(*lv, delivered, kind, trace.t_s, kcfg):
-                assert k0 == len(steps)
-                steps.extend(zip(x, v, a))
+            steps = list(estimate_batch(*lv, delivered, kind, trace.t_s, kcfg))
             assert len(steps) == len(trace)
             warns = [warn_batch(x - fv_x[k] - off, fv_v[k], fv_a[k], v, a, camp) for k, (x, v, a) in enumerate(steps)]
             for m, mask in enumerate(masks):
@@ -100,10 +100,10 @@ def test_kernel_matches_scalar_oracle_run_by_run(data, fleet, camp):
 # every drawn fleet does all three, so those sizes need fewer examples.
 @pytest.mark.parametrize(
     "block, examples",
-    [pytest.param(block, examples, id=f"block{block}") for block, examples in ((estimators.BLOCK, 30), (1, 10), (2, 10), (7, 10))],
+    [pytest.param(block, examples, id=f"block{block}") for block, examples in ((harness.BLOCK, 30), (1, 10), (2, 10), (7, 10))],
 )
 def test_sweep_matches_scalar_runs(block, examples, monkeypatch):
-    monkeypatch.setattr(estimators, "BLOCK", block)
+    monkeypatch.setattr(harness, "BLOCK", block)
     check = given(fleet=fleets(), camp=camps, seeds=st.integers(1, 3), master_seed=st.integers(0, 2**32))(
         _check_sweep_against_scalar_runs
     )
@@ -142,13 +142,30 @@ def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
 @pytest.mark.parametrize("kind", list(EstimatorKind))
 def test_estimate_overflow_inside_a_block_is_rejected(kind):
     # From x = 1e308, v = 5e307 with nothing delivered after slot 0, step 1
-    # is finite and step 2 overflows, inside the one block of 5 steps. Run 0
-    # starts at rest and stays finite, so the error names run 1.
+    # is finite and step 2 overflows. Run 0 starts at rest and stays finite.
+    # estimate_batch yields the overflow as it is, and the sweep rejects it
+    # (test below).
     n = 5
     lv = [np.tile([0.0, value], (n, 1)) for value in (1e308, 5e307, 0.0)]
     delivered = np.zeros((n, 2), dtype=bool)
     delivered[0] = True
-    overflow = pytest.raises(ValueError, match="non-finite vehicle state estimate")
-    with np.errstate(over="ignore", invalid="ignore"), overflow as error:
-        list(estimate_batch(*lv, delivered, kind, 1.0))
-    assert error.value.run == (1,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = list(estimate_batch(*lv, delivered, kind, 1.0))
+    finite = [np.isfinite(np.broadcast_arrays(*step)).all(axis=0).tolist() for step in steps]
+    assert finite == [[True, True], [True, True]] + [[True, False]] * (n - 2)
+
+
+@pytest.mark.parametrize("block, steps", [(harness.BLOCK, "0-150"), (1, "2-2"), (7, "2-3")])
+def test_sweep_names_the_steps_and_scenario_that_overflow(block, steps, monkeypatch):
+    # The middle scenario's delivered jumps of 8e307 m overflow the Kalman
+    # speed at step 2. Three runs per estimator put step 2 in a block of
+    # steps 0-150, of step 2 alone, or of steps 2-3, a block ending mid-trace.
+    data = np.zeros((151, 7))
+    data[:, 0] = np.arange(151) * 0.1
+    data[:, 1] = np.where(np.arange(151) % 2, -4e307, 4e307)
+    first, last = generate_fleet(GenConfig(n_scenarios=2, seed=1))
+    monkeypatch.setattr(harness, "BLOCK", block)
+    with pytest.raises(TraceFormatError) as error:
+        sweep([first, ScenarioTrace("s0002", data), last], RunConfig(pers=(0.0,), seeds=1))
+    assert str(error.value) == (f"non-finite vehicle state estimate in steps {steps} "
+                                "(the LV trace overflows the kalman estimator) in scenario s0002")

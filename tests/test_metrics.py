@@ -67,7 +67,7 @@ def test_matches_brute_force_recount():
         counts = classify_all(pairs)
         ch, cs, is_, ih, tp, acc = brute_force(pairs)
         assert (counts.ch, counts.cs, counts.is_, counts.ih) == (ch, cs, is_, ih)
-        assert counts.total == n
+        assert sum(counts) == n
         summary = aggregate([counts])
         assert (summary.mean_tp, summary.mean_accuracy) == (tp, acc)
         if tp is not None:
@@ -119,7 +119,7 @@ def test_aggregate_requires_input():
 def per_run_loop(runs):
     """Oracle: aggregate as a Python loop over ConfusionCounts, one int / int ratio per run."""
     tps = [c.ch / (c.is_ + c.ch) for c in runs if c.is_ + c.ch > 0]
-    accs = [(c.ch + c.cs) / c.total for c in runs if c.total > 0]
+    accs = [(c.ch + c.cs) / sum(c) for c in runs if sum(c) > 0]
 
     def std(values):
         if not values:
