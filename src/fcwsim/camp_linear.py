@@ -54,6 +54,10 @@ class CampParams:
         if not math.isfinite(self.length_offset):
             raise ConfigError(f"non-finite length offset: {self.length_offset}")
 
+    def gap(self, x_lv: float | np.ndarray, x_fv: float | np.ndarray) -> float | np.ndarray:
+        """The monitored gap between LV position x_lv and FV position x_fv, for one step or many."""
+        return x_lv - x_fv - self.length_offset
+
 
 class BorCase(IntEnum):
     """Which brake-onset-range case applied."""

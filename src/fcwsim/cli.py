@@ -116,20 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    g = GenConfig  # gen's defaults; run's and sweep's stay literals: their config classes live in modules gen never loads
     gen = sub.add_parser("gen", help="generate a synthetic scenario fleet")
-    gen.add_argument("--n", type=int, default=100, help="number of scenarios (default 100)")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    gen.add_argument("--n", type=int, default=g.n_scenarios, help=f"number of scenarios (default {g.n_scenarios})")
+    gen.add_argument("--seed", type=int, default=g.seed, help=f"generator seed (default {g.seed})")
     gen.add_argument("--out", required=True, help="output fleet directory")
-    gen.add_argument("--speed", type=_parse_range, default=(15.0, 30.0), metavar="LO:HI",
-                     help="cruise speed range, m/s (default 15:30)")
-    gen.add_argument("--headway", type=_parse_range, default=(0.8, 2.5), metavar="LO:HI",
-                     help="initial time headway range, s (default 0.8:2.5)")
-    gen.add_argument("--decel", type=_parse_range, default=(-8.0, -2.0), metavar="LO:HI",
-                     help="LV braking deceleration range, m/s^2; pass as --decel=-8:-2 (default -8:-2)")
-    gen.add_argument("--onset", type=_parse_range, default=(2.0, 5.0), metavar="LO:HI",
-                     help="brake onset time range, s (default 2:5)")
-    gen.add_argument("--duration", type=float, default=15.0, help="scenario length, s (default 15)")
-    gen.add_argument("--rate", type=float, default=10.0, help="sample rate, Hz (default 10)")
+    for flag, (lo, hi), what in (("--speed", g.speed_range, "cruise speed range, m/s"),
+                                 ("--headway", g.headway_range, "initial time headway range, s"),
+                                 ("--decel", g.decel_range, "LV braking deceleration range, m/s^2; pass as --decel={}"),
+                                 ("--onset", g.onset_range, "brake onset time range, s")):
+        span = f"{lo:g}:{hi:g}"
+        gen.add_argument(flag, type=_parse_range, default=(lo, hi), metavar="LO:HI",
+                         help=f"{what.format(span)} (default {span})")
+    gen.add_argument("--duration", type=float, default=g.duration, help=f"scenario length, s (default {g.duration:g})")
+    gen.add_argument("--rate", type=float, default=1 / g.t_s, help=f"sample rate, Hz (default {1 / g.t_s:g})")
 
     run = sub.add_parser("run", help="replay one scenario and write the step log")
     run.add_argument("--fleet", required=True, help="fleet directory (from gen)")

@@ -20,11 +20,12 @@ Kalman plant, state X = [v; x]:
 
 Received speeds are not measurements; they only seed the state at the
 first delivered slot. During loss the filter runs predict-only with the
-held input. `kalman_predict` and `kalman_correct` step one run or many
-(leading run axes), so `estimate_stream` and `estimate_batch` run the same
-filter code. The covariance prediction F P F^T + Q is written out entry
-by entry; only the correction's Joseph product calls numpy's matrix
-product.
+held input. `kalman_init`, `kalman_predict`, `kalman_correct` (which also
+holds the received acceleration) and `kalman_emit` (which clamps the speed
+at rest) step one run or many (leading run axes), so `estimate_stream` and
+`estimate_batch` run the same filter code. The covariance prediction
+F P F^T + Q is written out entry by entry; only the correction's Joseph
+product calls numpy's matrix product.
 
 `estimate_stream` steps one run through the scalar functions and is the
 reference. `estimate_batch` steps many runs in one loop: each step
@@ -105,11 +106,10 @@ def ca_predict(est: VehicleState, dt: float) -> VehicleState:
     )
 
 
-def kalman_init(state: VehicleState, kcfg: KalmanConfig) -> KalmanState:
-    """Seed the filter from the first received BSM."""
-    mean = np.array([state.v, state.x], dtype=float)
-    cov = np.eye(2) * kcfg.p0
-    return KalmanState(mean, cov, state.a)
+def kalman_init(x: float | np.ndarray, v: float | np.ndarray, a: float | np.ndarray, p0: float) -> KalmanState:
+    """Seed the filter from the first received BSM's (x, v, a), for one run or many."""
+    mean = np.stack([v, x], axis=-1, dtype=float)
+    return KalmanState(mean, np.broadcast_to(np.eye(2) * p0, mean.shape + (2,)), a)
 
 
 def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
@@ -141,8 +141,10 @@ def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
     return KalmanState(mean, cov, s.held_input)
 
 
-def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, r: float) -> KalmanState:
-    """Measurement update with a received position; Joseph-form covariance."""
+def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, measured_a: float | np.ndarray,
+                   r: float) -> KalmanState:
+    """Measurement update with a received BSM: Joseph-form covariance from its
+    position, and its acceleration as the input that drives later predictions."""
     if not np.isfinite(measured_x).all():
         raise ValueError(f"non-finite measurement: {measured_x}")
     if r <= 0.0:
@@ -154,12 +156,13 @@ def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, r: float) -> 
     ikc[..., 0, 1], ikc[..., 1, 1] = 0.0 - gain[..., 0], 1.0 - gain[..., 1]
     cov = ikc @ s.cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    return KalmanState(mean, cov, s.held_input)
+    return KalmanState(mean, cov, measured_a)
 
 
-def kalman_emit(s: KalmanState) -> VehicleState:
-    """Map the filter state to a VehicleState (speed clamped at rest)."""
-    return VehicleState(float(s.mean[1]), max(0.0, float(s.mean[0])), s.held_input)
+def kalman_emit(s: KalmanState) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """The estimate (x, v, a) the filter state stands for: its speed clamped at rest
+    (a negative or -0.0 mean speed emits 0.0); the state itself stays unclamped."""
+    return s.mean[..., 1], np.where(s.mean[..., 0] > 0.0, s.mean[..., 0], 0.0), s.held_input
 
 
 def estimate_stream(
@@ -191,19 +194,17 @@ def estimate_stream(
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as a non-finite mean
 def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig) -> list[VehicleState]:
-    s = kalman_init(slots[0].state, kcfg)
-    estimates = [kalman_emit(s)]
+    first = slots[0].state
+    s = kalman_init(first.x, first.v, first.a, kcfg.p0)
+    estimates = [VehicleState(*map(float, kalman_emit(s)))]
     for slot in slots[1:]:
         s = kalman_predict(s, dt, kcfg.q)
         if slot.delivered:
-            received = slot.state
-            s = kalman_correct(s, received.x, kcfg.r)
-            # The newly received acceleration drives predictions from here on.
-            s = KalmanState(s.mean, s.cov, received.a)
+            s = kalman_correct(s, slot.state.x, slot.state.a, kcfg.r)
         if not np.isfinite(s.mean).all():
             raise TraceFormatError(f"non-finite vehicle state estimate at step {slot.slot}: "
                                    f"v={s.mean[0]}, x={s.mean[1]} (the LV trace overflows the kalman estimator)")
-        estimates.append(kalman_emit(s))
+        estimates.append(VehicleState(*map(float, kalman_emit(s))))
     return estimates
 
 
@@ -224,30 +225,29 @@ def estimate_batch(
     broadcastable to the run shape and never written to again. Each run's
     estimates are bitwise those `estimate_stream` gives for its slots: the
     dead-reckoning updates are the scalar expressions applied elementwise,
-    and the Kalman filter is the same `kalman_predict` and `kalman_correct`.
-    An estimate that overflows is yielded as it is, non-finite; the caller
-    checks it.
+    and the Kalman filter is the same `kalman_init`, `kalman_predict`,
+    `kalman_correct` and `kalman_emit`. An estimate that overflows is
+    yielded as it is, non-finite; the caller checks it.
     """
     if len(delivered) == 0 or not delivered[0].all():
         raise ValueError("estimate_batch requires every run's slot 0 delivered")
     kcfg = kcfg or KalmanConfig()
     run_shape = delivered.shape[1:]
     x, v, a = (np.broadcast_to(col[0], run_shape) for col in (lv_x, lv_v, lv_a))
-    s = KalmanState(np.stack([v, x], axis=-1), np.broadcast_to(np.eye(2) * kcfg.p0, run_shape + (2, 2)), a)
+    s = kalman_init(x, v, a, kcfg.p0)
     for k, d in enumerate(delivered):
         if k and kind is EstimatorKind.KALMAN:
             predicted = kalman_predict(s, dt, kcfg.q)
-            corrected = kalman_correct(predicted, lv_x[k], kcfg.r)  # kept only where the slot was delivered
+            corrected = kalman_correct(predicted, lv_x[k], lv_a[k], kcfg.r)  # kept only where the slot was delivered
             s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
                             np.where(d[..., None, None], corrected.cov, predicted.cov),
-                            np.where(d, lv_a[k], s.held_input))
-            x, v, a = s.mean[..., 1], s.mean[..., 0], s.held_input
+                            np.where(d, corrected.held_input, predicted.held_input))
         elif k:
             if kind is EstimatorKind.CONSTANT_VELOCITY:
                 px, pv, pa = x + v * dt, v, 0.0
             else:
                 (px, pv), pa = step_ca_batch(x, v, a, dt), a
             x, v, a = np.where(d, lv_x[k], px), np.where(d, lv_v[k], pv), np.where(d, lv_a[k], pa)
-        if kind is EstimatorKind.KALMAN:  # speed clamped at rest, as kalman_emit's max(0.0, v); s stays unclamped
-            v = np.where(v > 0.0, v, 0.0)
+        if kind is EstimatorKind.KALMAN:
+            x, v, a = kalman_emit(s)
         yield x, v, a

@@ -120,12 +120,8 @@ class SweepCell:
 
 def truth_decisions(trace: ScenarioTrace, camp: CampParams) -> list[WarningDecision]:
     """Warning decisions from exact LV data; independent of estimator/PER/seed."""
-    decisions = []
-    offset = camp.length_offset
-    for lv_ts, fv_ts in trace.steps():
-        gap = lv_ts.state.x - fv_ts.state.x - offset
-        decisions.append(evaluate(gap, fv_ts.state, lv_ts.state, camp))
-    return decisions
+    return [evaluate(camp.gap(lv_ts.state.x, fv_ts.state.x), fv_ts.state, lv_ts.state, camp)
+            for lv_ts, fv_ts in trace.steps()]
 
 
 def run_scenario(
@@ -141,13 +137,11 @@ def run_scenario(
     estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
     truth = truth_decisions(trace, camp)
 
-    offset = camp.length_offset
     log = []
     counts = ConfusionCounts()
     for k, (lv_ts, fv_ts) in enumerate(trace.steps()):
         est_state = estimates[k]
-        est_gap = est_state.x - fv_ts.state.x - offset
-        est_decision = evaluate(est_gap, fv_ts.state, est_state, camp)
+        est_decision = evaluate(camp.gap(est_state.x, fv_ts.state.x), fv_ts.state, est_state, camp)
         counts = classify_step(truth[k].warn, est_decision.warn, counts)
         log.append(
             StepRecord(k, lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth[k], est_decision)
@@ -248,7 +242,7 @@ def _warn_blocks(states: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int,
             raise TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + n - 1} (the LV trace "
                                    f"overflows the {source} estimator) in scenario {traces[np.argwhere(~finite)[0][1]].id}")
         (x, v, a), steps = block[:, :n], slice(k0, k0 + n)
-        yield steps, warn_batch(x - fv[0][steps] - camp.length_offset, fv[1][steps], fv[2][steps], v, a, camp)
+        yield steps, warn_batch(camp.gap(x, fv[0][steps]), fv[1][steps], fv[2][steps], v, a, camp)
 
 
 # ---------------------------------------------------------------------------

@@ -66,18 +66,19 @@ def aggregate(runs: Sequence[ConfusionCounts] | np.ndarray) -> MetricSummary:
     tps = (ch[hazards > 0] / hazards[hazards > 0]).tolist()
     accs = ((ch + cs)[total > 0] / total[total > 0]).tolist()
     n = len(counts)
+    mean_tp = reduce(add, tps, 0.0) / len(tps) if tps else None
+    mean_accuracy = reduce(add, accs, 0.0) / len(accs) if accs else None
     return MetricSummary(
-        mean_tp=reduce(add, tps, 0.0) / len(tps) if tps else None,
-        mean_accuracy=reduce(add, accs, 0.0) / len(accs) if accs else None,
-        tp_std=_std(tps),
-        accuracy_std=_std(accs),
+        mean_tp=mean_tp,
+        mean_accuracy=mean_accuracy,
+        tp_std=_std(tps, mean_tp),
+        accuracy_std=_std(accs, mean_accuracy),
         n_undefined_tp=n - len(tps),
         n_undefined_accuracy=n - len(accs),
     )
 
 
-def _std(values: list[float]) -> Optional[float]:
+def _std(values: list[float], mean: Optional[float]) -> Optional[float]:
     if not values:
         return None
-    mean = reduce(add, values, 0.0) / len(values)
     return (reduce(add, ((v - mean) ** 2 for v in values), 0.0) / len(values)) ** 0.5

@@ -182,12 +182,12 @@ def test_criterion_4_kalman_numerical_health():
     kcfg = KalmanConfig()
     checked = 0
     for _ in range(100):
-        s = kalman_init(VehicleState(float(rng.uniform(-50, 50)), float(rng.uniform(0, 30)), 0.0), kcfg)
+        s = kalman_init(float(rng.uniform(-50, 50)), float(rng.uniform(0, 30)), 0.0, kcfg.p0)
         for _ in range(100):
             if rng.random() < 0.5:
                 s = kalman_predict(s, float(rng.uniform(0.05, 1.0)), kcfg.q)
             else:
-                s = kalman_correct(s, float(rng.normal(0, 100)), kcfg.r)
+                s = kalman_correct(s, float(rng.normal(0, 100)), s.held_input, kcfg.r)
             assert np.allclose(s.cov, s.cov.T, rtol=1e-9, atol=0.0)
             eigs = np.linalg.eigvalsh(s.cov)
             assert eigs.min() >= -1e-9 * np.trace(s.cov)

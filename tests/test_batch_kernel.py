@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fcwsim import harness
 from fcwsim.camp_linear import CampParams, evaluate, warn_batch
 from fcwsim.channel import apply_mask
-from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
+from fcwsim.estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream, kalman_emit, kalman_init
 from fcwsim.errors import TraceFormatError
 from fcwsim.harness import RunConfig, SweepCell, count_runs, derive_seed, run_cell, run_scenario, sweep, truth_decisions
 from fcwsim.kinematics import SampleClock, VehicleState
@@ -93,6 +93,15 @@ def test_kernel_matches_scalar_oracle_run_by_run(data, fleet, camp):
                     assert bits(x, v, a) == bits(est.x, est.v, est.a), (kind, k, mask)
                     decision = evaluate(est.x - fv_ts.state.x - off, fv_ts.state, est, camp)
                     assert warns[k][m] == decision.warn, (kind, k, mask)
+
+
+def test_first_kalman_estimate_is_emit_of_init():
+    lv_x, lv_v, lv_a = np.array([[3.0, 7.0], [3.5, 7.5]]), np.array([[-0.0, 2.5], [1.0, 2.0]]), np.full((2, 2), -1.5)
+    kcfg = KalmanConfig(p0=3.0)
+    first = next(estimate_batch(lv_x, lv_v, lv_a, np.ones((2, 2), bool), EstimatorKind.KALMAN, 0.1, kcfg))
+    expected = kalman_emit(kalman_init(lv_x[0], lv_v[0], lv_a[0], kcfg.p0))
+    assert [np.asarray(got).tobytes() for got in first] == [np.asarray(value).tobytes() for value in expected]
+    assert not np.signbit(first[1]).any()
 
 
 # Blocks of 1, 2 and 7 run-steps put block boundaries mid-trace, leave a

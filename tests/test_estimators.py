@@ -64,19 +64,19 @@ def test_kalman_predict_substitutions():
 
 def test_kalman_correct_zero_gain():
     s = KalmanState(np.array([1.0, 2.0]), np.zeros((2, 2)), 0.0)
-    got = kalman_correct(s, 100.0, 1.0)
+    got = kalman_correct(s, 100.0, 0.0, 1.0)
     assert got.mean == pytest.approx([1.0, 2.0], abs=0.0)
 
 
 def test_kalman_correct_perfect_measurement_limit():
     s = KalmanState(np.array([5.0, 10.0]), np.eye(2), 0.0)
-    got = kalman_correct(s, 12.0, 1e-12)
+    got = kalman_correct(s, 12.0, 0.0, 1e-12)
     assert got.mean[1] == pytest.approx(12.0, abs=1e-9)
 
 
 def test_kalman_correct_scalar_innovation():
     s = KalmanState(np.array([0.0, 0.0]), np.eye(2), 0.0)
-    got = kalman_correct(s, 2.0, 1.0)
+    got = kalman_correct(s, 2.0, 0.0, 1.0)
     assert got.mean == pytest.approx([0.0, 1.0], rel=1e-12)
     assert got.cov[1, 1] == pytest.approx(0.5, rel=1e-12)
 
@@ -84,21 +84,31 @@ def test_kalman_correct_scalar_innovation():
 def test_kalman_correct_rejects_bad_inputs():
     s = KalmanState(np.array([0.0, 0.0]), np.eye(2), 0.0)
     with pytest.raises(ValueError):
-        kalman_correct(s, math.nan, 1.0)
+        kalman_correct(s, math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
-        kalman_correct(s, 0.0, 0.0)
+        kalman_correct(s, 0.0, 0.0, 0.0)
     runs = KalmanState(np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)), np.zeros(3))
     with pytest.raises(ValueError, match="non-finite measurement"):
-        kalman_correct(runs, np.array([0.0, math.nan, 1.0]), 1.0)
+        kalman_correct(runs, np.array([0.0, math.nan, 1.0]), np.zeros(3), 1.0)
 
 
 def test_kalman_emit_mapping():
     s = KalmanState(np.array([9.8, 0.99]), np.eye(2), -2.0)
-    assert kalman_emit(s) == VehicleState(0.99, 9.8, -2.0)
+    assert kalman_emit(s) == (0.99, 9.8, -2.0)
     s = KalmanState(np.array([-0.5, 3.0]), np.eye(2), 0.0)
-    assert kalman_emit(s) == VehicleState(3.0, 0.0, 0.0)
-    s = kalman_init(VehicleState(7.0, 4.0, 1.0), KalmanConfig())
-    assert kalman_emit(s) == VehicleState(7.0, 4.0, 1.0)
+    assert kalman_emit(s) == (3.0, 0.0, 0.0)
+    s = kalman_init(7.0, 4.0, 1.0, KalmanConfig().p0)
+    assert kalman_emit(s) == (7.0, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("v0, v_emitted", [(-1.0, 0.0), (-0.0, 0.0), (0.0, 0.0), (2.5, 2.5)])
+def test_kalman_init_emit_one_run_and_many(v0, v_emitted):
+    expected = [value.hex() for value in (3.0, v_emitted, -1.5)]  # hex keeps the sign bit of a zero
+    one = kalman_emit(kalman_init(3.0, v0, -1.5, 2.0))
+    assert [float(value).hex() for value in one] == expected
+    many = kalman_emit(kalman_init(np.full(2, 3.0), np.full(2, v0), np.full(2, -1.5), 2.0))
+    for run in range(2):
+        assert [float(value[run]).hex() for value in many] == expected
 
 
 def test_kalman_config_validation():
@@ -195,12 +205,12 @@ def test_ca_exact_on_piecewise_constant_acceleration():
 def test_kalman_covariance_stays_symmetric_psd():
     rng = np.random.default_rng(31)
     kcfg = KalmanConfig()
-    s = kalman_init(VehicleState(0.0, 10.0, 0.0), kcfg)
+    s = kalman_init(0.0, 10.0, 0.0, kcfg.p0)
     for _ in range(1000):
         if rng.random() < 0.5:
             s = kalman_predict(s, 0.1, kcfg.q)
         else:
-            s = kalman_correct(s, float(rng.normal(0, 50)), kcfg.r)
+            s = kalman_correct(s, float(rng.normal(0, 50)), s.held_input, kcfg.r)
         assert np.allclose(s.cov, s.cov.T, rtol=1e-9, atol=0.0)
         eigs = np.linalg.eigvalsh(s.cov)
         assert eigs.min() >= -1e-9 * np.trace(s.cov)
@@ -226,8 +236,8 @@ def test_kalman_converges_from_perturbed_init():
         x_t = step_position_ca(x_t, v_t, a, dt)
         v_t = step_velocity_ca(v_t, a, dt)
         s = kalman_predict(s, dt, kcfg.q)
-        s = kalman_correct(s, x_t, kcfg.r)
-        err = abs(kalman_emit(s).x - x_t)
+        s = kalman_correct(s, x_t, a, kcfg.r)
+        err = abs(kalman_emit(s)[0] - x_t)
     assert err < 1e-3
 
 
