@@ -86,9 +86,7 @@ def predict_speeds(fv: VehicleState, lv: VehicleState, t_d: float) -> tuple[floa
     return v_fvp, v_lvp
 
 
-def required_decel(
-    a_lv: float, v_lv: float, v_fv: float, v_lvp: float, min_decel: float = 0.1
-) -> float:
+def required_decel(a_lv: float, v_lv: float, v_fv: float, v_lvp: float, min_decel: float) -> float:
     """Required FV deceleration for crash avoidance (CAMP regression).
 
     d = -5.3 + 0.68*a_LV + 2.57*[v_LV > 0] - 0.086*(v_FV - v_LVP),

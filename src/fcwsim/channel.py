@@ -41,7 +41,6 @@ class ChannelConfig:
 class ReceivedSlot:
     """Outcome of one transmission step: the sender state, or None if dropped."""
 
-    slot: int
     state: Optional[VehicleState]
 
     @property
@@ -153,7 +152,4 @@ def apply_mask(states: Sequence[TimedState], mask: Sequence[bool]) -> list[Recei
         raise ValueError(f"mask length {len(mask)} != state count {len(states)}")
     if len(mask) > 0 and not mask[0]:
         raise ValueError("slot 0 must be delivered")
-    return [
-        ReceivedSlot(i, ts.state if keep else None)
-        for i, (ts, keep) in enumerate(zip(states, mask))
-    ]
+    return [ReceivedSlot(ts.state if keep else None) for ts, keep in zip(states, mask)]

@@ -112,7 +112,7 @@ def kalman_init(x: float | np.ndarray, v: float | np.ndarray, a: float | np.ndar
     return KalmanState(mean, np.broadcast_to(np.eye(2) * p0, mean.shape + (2,)), a)
 
 
-def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
+def kalman_predict(s: KalmanState, dt: float, q: float) -> KalmanState:
     """Time update over dt with the held acceleration as input.
 
     The mean update is F @ mean + G @ u, written out in the same expression
@@ -129,15 +129,16 @@ def kalman_predict(s: KalmanState, dt: float, q: float = 1.0) -> KalmanState:
     v, x, u = s.mean[..., 0], s.mean[..., 1], s.held_input
     mean = np.empty(s.mean.shape)
     mean[..., 0], mean[..., 1] = v + u * dt, x + v * dt + 0.5 * u * dt * dt
-    half = 0.5 * dt * dt
-    qm = q * np.array([[dt, half], [half, dt ** 3 / 3.0]])
+    q_vv, q_vx, q_xx = q * dt, q * (0.5 * dt * dt), q * (dt ** 3 / 3.0)
     p00, p01, p10, p11 = s.cov[..., 0, 0], s.cov[..., 0, 1], s.cov[..., 1, 0], s.cov[..., 1, 1]
     fp10 = dt * p00 + p10
     cov = np.empty(s.cov.shape)
-    cov[..., 0, 0] = p00 + qm[0, 0]
-    cov[..., 0, 1] = (p00 * dt + p01) + qm[0, 1]
-    cov[..., 1, 0] = fp10 + qm[1, 0]
-    cov[..., 1, 1] = (fp10 * dt + (dt * p01 + p11)) + qm[1, 1]
+    cov[..., 0, 0] = p00 + q_vv
+    cov[..., 0, 1] = (p00 * dt + p01) + q_vx
+    cov[..., 1, 0] = fp10 + q_vx
+    cov[..., 1, 1] = (fp10 * dt + (dt * p01 + p11)) + q_xx
+    if not np.isfinite(cov).all():  # the covariance follows from q, r, p0, dt and the losses, never the trace
+        raise ConfigError(f"the kalman tuning (q, r, p0) overflows the filter covariance at q={q}, dt={dt}")
     return KalmanState(mean, cov, s.held_input)
 
 
@@ -151,9 +152,7 @@ def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, measured_a: f
         raise ValueError(f"measurement variance must be > 0: {r}")
     gain = s.cov[..., :, 1] / (s.cov[..., 1:, 1] + r)
     mean = s.mean + gain * (measured_x - s.mean[..., 1])[..., None]
-    ikc = np.empty_like(s.cov)
-    ikc[..., 0, 0], ikc[..., 1, 0] = 1.0, 0.0
-    ikc[..., 0, 1], ikc[..., 1, 1] = 0.0 - gain[..., 0], 1.0 - gain[..., 1]
+    ikc = np.eye(2) - gain[..., :, None] * np.array([0.0, 1.0])  # I - K C
     cov = ikc @ s.cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     return KalmanState(mean, cov, measured_a)
@@ -197,12 +196,12 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
     first = slots[0].state
     s = kalman_init(first.x, first.v, first.a, kcfg.p0)
     estimates = [VehicleState(*map(float, kalman_emit(s)))]
-    for slot in slots[1:]:
+    for k, slot in enumerate(slots[1:], 1):
         s = kalman_predict(s, dt, kcfg.q)
         if slot.delivered:
             s = kalman_correct(s, slot.state.x, slot.state.a, kcfg.r)
         if not np.isfinite(s.mean).all():
-            raise TraceFormatError(f"non-finite vehicle state estimate at step {slot.slot}: "
+            raise TraceFormatError(f"non-finite vehicle state estimate at step {k}: "
                                    f"v={s.mean[0]}, x={s.mean[1]} (the LV trace overflows the kalman estimator)")
         estimates.append(VehicleState(*map(float, kalman_emit(s))))
     return estimates

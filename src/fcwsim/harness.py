@@ -32,7 +32,7 @@ from .channel import ChannelConfig, delivery_masks, transmit
 from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
-from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
+from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step, confusion
 from .scenarios import ScenarioTrace
 
 try:  # built-in SHA-256, as random.py takes sha512: importing hashlib loads OpenSSL (3.7 MB of peak RSS)
@@ -98,7 +98,6 @@ class RunConfig:
 class StepRecord:
     """One pipeline step: states, delivery flag, and both decisions."""
 
-    step: int
     t: float
     true_state: VehicleState
     est_state: VehicleState
@@ -144,7 +143,7 @@ def run_scenario(
         est_decision = evaluate(camp.gap(est_state.x, fv_ts.state.x), fv_ts.state, est_state, camp)
         counts = classify_step(truth[k].warn, est_decision.warn, counts)
         log.append(
-            StepRecord(k, lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth[k], est_decision)
+            StepRecord(lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth[k], est_decision)
         )
     return log, counts
 
@@ -211,10 +210,7 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
             for steps, warn in _warn_blocks(estimates, ch.shape, fv, traces, kind.value, cfg.camp):
                 ch += (truth_warn[steps] & warn).sum(axis=0)
                 n_warn += warn.sum(axis=0)
-            is_ = n_truth - ch
-            ih = n_warn - ch
-            cs = n_steps - ch - is_ - ih
-            kind_counts[:, members] = np.stack((ch, cs, is_, ih), axis=-1)
+            kind_counts[:, members] = np.stack(confusion(ch, n_truth, n_warn, n_steps), axis=-1)
     return counts
 
 
@@ -264,12 +260,12 @@ STEP_LOG_COLUMNS = (
 def write_step_log(log: Sequence[StepRecord], path: Path | str) -> None:
     """Per-step trace CSV: states, delivery flag, and both decision breakdowns."""
     lines = [STEP_LOG_COLUMNS]
-    for r in log:
+    for k, r in enumerate(log):
         t, e, td, ed = r.true_state, r.est_state, r.truth, r.est
         lines.append(
             ",".join(
                 (
-                    str(r.step), _fmt(r.t), str(int(r.delivered)),
+                    str(k), _fmt(r.t), str(int(r.delivered)),
                     _fmt(t.x), _fmt(t.v), _fmt(t.a),
                     _fmt(e.x), _fmt(e.v), _fmt(e.a),
                     _fmt(td.gap), _fmt(td.r_w), _fmt(td.r_d), _fmt(td.bor),

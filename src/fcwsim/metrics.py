@@ -31,11 +31,17 @@ class ConfusionCounts(NamedTuple):
     ih: int = 0
 
 
+def confusion(ch: int | np.ndarray, n_truth: int | np.ndarray, n_warn: int | np.ndarray,
+              n_steps: int) -> tuple[int | np.ndarray, ...]:
+    """(ch, cs, is_, ih) from counts of correct hazards, truth warnings, estimate warnings and steps."""
+    is_, ih = n_truth - ch, n_warn - ch
+    return ch, n_steps - ch - is_ - ih, is_, ih
+
+
 def classify_step(truth_warn: bool, est_warn: bool, acc: ConfusionCounts) -> ConfusionCounts:
     """Fold one step's (truth, estimate) warning pair into the counts."""
-    if truth_warn:
-        return acc._replace(ch=acc.ch + 1) if est_warn else acc._replace(is_=acc.is_ + 1)
-    return acc._replace(ih=acc.ih + 1) if est_warn else acc._replace(cs=acc.cs + 1)
+    step = confusion(int(truth_warn and est_warn), int(truth_warn), int(est_warn), 1)
+    return ConfusionCounts(*map(add, acc, step))
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,9 @@ def test_criterion_2_equation_unit_suite():
     v_fvp, v_lvp = predict_speeds(VehicleState(0, 20, -2), VehicleState(0, 15, 1), 1.0)
     close(v_fvp, 18.0)
     close(v_lvp, 16.0)
-    close(required_decel(0.0, 0.0, 10.0, 10.0), -5.3)
-    close(required_decel(0.0, 10.0, 10.0, 10.0), -2.73)
-    close(required_decel(-3.0, 10.0, 15.0, 10.0), -5.2)
+    close(required_decel(0.0, 0.0, 10.0, 10.0, CampParams().min_decel), -5.3)
+    close(required_decel(0.0, 10.0, 10.0, 10.0, CampParams().min_decel), -2.73)
+    close(required_decel(-3.0, 10.0, 15.0, 10.0, CampParams().min_decel), -5.2)
 
     # brake-onset range cases
     params = CampParams()

@@ -50,14 +50,14 @@ def test_predict_speeds_substitutions():
 
 
 def test_required_decel_substitutions():
-    assert required_decel(0.0, 0.0, 10.0, 10.0) == pytest.approx(-5.3, rel=1e-9)
-    assert required_decel(0.0, 10.0, 10.0, 10.0) == pytest.approx(-2.73, rel=1e-9)
-    assert required_decel(-3.0, 10.0, 15.0, 10.0) == pytest.approx(-5.2, rel=1e-9)
+    assert required_decel(0.0, 0.0, 10.0, 10.0, PARAMS.min_decel) == pytest.approx(-5.3, rel=1e-9)
+    assert required_decel(0.0, 10.0, 10.0, 10.0, PARAMS.min_decel) == pytest.approx(-2.73, rel=1e-9)
+    assert required_decel(-3.0, 10.0, 15.0, 10.0, PARAMS.min_decel) == pytest.approx(-5.2, rel=1e-9)
 
 
 def test_required_decel_floor():
     # large positive LV acceleration would make the regression positive
-    assert required_decel(10.0, 10.0, 0.0, 20.0) == -PARAMS.min_decel
+    assert required_decel(10.0, 10.0, 0.0, 20.0, PARAMS.min_decel) == -PARAMS.min_decel
 
 
 def test_bor_case1_stationary():

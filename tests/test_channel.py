@@ -23,7 +23,6 @@ def delivered(slots):
 def test_zero_loss_delivers_everything():
     slots = transmit(make_states(20), ChannelConfig(per=0.0, seed=1))
     assert all(s.delivered for s in slots)
-    assert [s.slot for s in slots] == list(range(20))
 
 
 def test_total_loss_keeps_only_first_slot():
@@ -108,7 +107,6 @@ def test_bsm_carries_input_timing():
     states = make_states(10, t_s=0.1)
     slots = transmit(states, ChannelConfig(per=0.0, seed=0))
     for i, slot in enumerate(slots):
-        assert slot.slot == i
         assert slot.state == states[i].state
 
 

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import fcwsim
-from fcwsim.cli import main, parse_estimators, parse_per_grid
+from fcwsim.camp_linear import CampParams
+from fcwsim.cli import _camp_from, _kalman_from, build_parser, main, parse_estimators, parse_per_grid
 from fcwsim.errors import ConfigError
-from fcwsim.estimators import EstimatorKind
+from fcwsim.estimators import EstimatorKind, KalmanConfig
+from fcwsim.harness import RunConfig
 from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet, save_fleet
 
 
@@ -305,6 +307,38 @@ def test_sweep_kalman_flags(tmp_path, fleet_dir):
     assert payload["config"]["kalman_q"] == 5.0
     assert payload["config"]["kalman_r"] == 0.5
     assert payload["config"]["t_d"] == 1.2
+
+
+def test_run_and_sweep_defaults_are_the_config_defaults():
+    # The 11 literals stay in cli.py, since gen must not load the config modules; this catches drift.
+    parser = build_parser()
+    run = parser.parse_args(["run", "--fleet", "f", "--scenario", "s", "--estimator", "cv", "--per", "0", "--out", "o"])
+    swp = parser.parse_args(["sweep", "--fleet", "f", "--out", "o"])
+    defaults = RunConfig()
+    for args in (run, swp):
+        assert _camp_from(args) == CampParams()
+        assert _kalman_from(args) == KalmanConfig()
+    assert parse_estimators(swp.estimators) == defaults.estimators
+    assert parse_per_grid(swp.per) == defaults.pers
+    assert (swp.seeds, swp.master_seed, run.seed) == (defaults.seeds, defaults.master_seed, defaults.master_seed)
+
+
+def test_kalman_tuning_that_overflows_the_covariance_is_config_error(tmp_path, capsys):
+    fleet = tmp_path / "fleet"
+    assert main(["gen", "--n", "3", "--out", str(fleet)]) == 0
+    sweep = ["sweep", "--fleet", str(fleet), "--estimators", "kalman", "--seeds", "5", "--out", str(tmp_path / "out")]
+    run = ["run", "--fleet", str(fleet), "--scenario", "s0000", "--estimator", "kalman", "--out", str(tmp_path / "x.csv")]
+    for argv in (sweep + ["--per", "0.0", "--kalman-p0", "1e308"],
+                 sweep + ["--per", "0.97", "--kalman-q", "1e306"],
+                 run + ["--per", "0.0", "--kalman-p0", "1e308"],
+                 run + ["--per", "1.0", "--kalman-p0", "1e308"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: the kalman tuning (q, r, p0) overflows the filter covariance")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
+    # tunings whose covariance stays finite still run
+    assert main(sweep + ["--per", "0.97", "--kalman-q", "1e300"]) == 0
+    assert main(sweep + ["--per", "0.0", "--kalman-p0", "5e307"]) == 0
 
 
 def test_gen_rejects_bad_config(tmp_path, capsys):

@@ -62,6 +62,18 @@ def test_kalman_predict_substitutions():
     assert got.cov == pytest.approx(np.array([[1.0, 0.1], [0.1, 1.01]]), rel=1e-12)
 
 
+def test_kalman_predict_rejects_an_overflowing_covariance():
+    # the covariance never depends on the trace's values, so its overflow is the tuning's fault
+    big = np.full((2, 2), 1.7e308)
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
+        kalman_predict(KalmanState(np.zeros(2), big, 0.0), 0.1, 1.0)
+    runs = KalmanState(np.zeros((3, 2)), np.stack([np.eye(2), big, np.eye(2)]), np.zeros(3))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
+        kalman_predict(runs, 0.1, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
+        kalman_predict(KalmanState(np.zeros(2), np.eye(2), 0.0), 10.0, 1e308)
+
+
 def test_kalman_correct_zero_gain():
     s = KalmanState(np.array([1.0, 2.0]), np.zeros((2, 2)), 0.0)
     got = kalman_correct(s, 100.0, 0.0, 1.0)
@@ -123,7 +135,7 @@ def test_kalman_config_validation():
 def test_stream_requires_delivered_first_slot():
     with pytest.raises(ValueError):
         estimate_stream([], EstimatorKind.CONSTANT_VELOCITY, CLOCK)
-    slots = [ReceivedSlot(0, None), ReceivedSlot(1, None)]
+    slots = [ReceivedSlot(None), ReceivedSlot(None)]
     with pytest.raises(ValueError):
         estimate_stream(slots, EstimatorKind.CONSTANT_VELOCITY, CLOCK)
 

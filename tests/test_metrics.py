@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fcwsim.metrics import ConfusionCounts, MetricSummary, aggregate, classify_step
+from fcwsim.metrics import ConfusionCounts, MetricSummary, aggregate, classify_step, confusion
 
 
 def brute_force(pairs):
@@ -73,6 +73,22 @@ def test_matches_brute_force_recount():
         if tp is not None:
             assert 0.0 <= tp <= 1.0
         assert 0.0 <= acc <= 1.0
+
+
+def test_confusion_matches_brute_force_recount():
+    # one run from its counts, then every column of a (steps, runs) array at once, then no steps at all
+    rng = np.random.default_rng(67)
+    for n_steps in (0, 1, 151):
+        truth = rng.random((n_steps, 40)) < 0.4
+        est = np.where(rng.random((n_steps, 40)) < 0.8, truth, ~truth)
+        many = confusion((truth & est).sum(axis=0), truth.sum(axis=0), est.sum(axis=0), n_steps)
+        for run in range(truth.shape[1]):
+            pairs = list(zip(truth[:, run].tolist(), est[:, run].tolist()))
+            expected = brute_force(pairs)[:4]
+            t, e = truth[:, run], est[:, run]
+            assert confusion(int((t & e).sum()), int(t.sum()), int(e.sum()), n_steps) == expected
+            assert tuple(column[run] for column in many) == expected
+    assert confusion(0, 0, 0, 0) == brute_force([])[:4] == (0, 0, 0, 0)
 
 
 def test_perfect_estimation_fixed_point():
