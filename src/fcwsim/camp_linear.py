@@ -161,6 +161,7 @@ def evaluate(
     return WarningDecision(r_w, r_d, bor, case, gap, gap <= r_w)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as the scalar path's float overflow to inf
 def warn_batch(
     gap: np.ndarray,
     fv_v: np.ndarray,

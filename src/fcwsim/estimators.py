@@ -23,9 +23,10 @@ first delivered slot. During loss the filter runs predict-only with the
 held input. `kalman_init`, `kalman_predict`, `kalman_correct` (which also
 holds the received acceleration) and `kalman_emit` (which clamps the speed
 at rest) step one run or many (leading run axes), so `estimate_stream` and
-`estimate_batch` run the same filter code. The covariance prediction
-F P F^T + Q is written out entry by entry; only the correction's Joseph
-product calls numpy's matrix product.
+`estimate_batch` run the same filter code. The state holds the symmetric
+covariance P as its three distinct entries, and the prediction
+F P F^T + Q is written out on them; only the correction's Joseph product
+builds P as a 2x2 matrix, for numpy's matrix product.
 
 `estimate_stream` steps one run through the scalar functions and is the
 reference. `estimate_batch` steps many runs in one loop: each step
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,17 +80,19 @@ class KalmanConfig:
             raise ConfigError(f"initial covariance p0 must be >= 0: {self.p0}")
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Filter state: mean [v; x], 2x2 covariance, held acceleration input.
+class KalmanState(NamedTuple):
+    """Filter state: mean speed v and position x, the covariance's three distinct
+    entries, and the held acceleration input u.
 
-    One run holds mean (2,), cov (2, 2) and a float input; many runs add the
-    same leading run axes to each: mean [..., 2], cov [..., 2, 2], input [...].
+    Each field is a float for one run, or an array broadcastable to the run shape.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
-    held_input: float | np.ndarray
+    v: float | np.ndarray
+    x: float | np.ndarray
+    p_vv: float | np.ndarray
+    p_vx: float | np.ndarray
+    p_xx: float | np.ndarray
+    u: float | np.ndarray
 
 
 def cv_predict(est: VehicleState, dt: float) -> VehicleState:
@@ -108,8 +111,7 @@ def ca_predict(est: VehicleState, dt: float) -> VehicleState:
 
 def kalman_init(x: float | np.ndarray, v: float | np.ndarray, a: float | np.ndarray, p0: float) -> KalmanState:
     """Seed the filter from the first received BSM's (x, v, a), for one run or many."""
-    mean = np.stack([v, x], axis=-1, dtype=float)
-    return KalmanState(mean, np.broadcast_to(np.eye(2) * p0, mean.shape + (2,)), a)
+    return KalmanState(v, x, p0, 0.0, p0, a)
 
 
 def kalman_predict(s: KalmanState, dt: float, q: float) -> KalmanState:
@@ -119,27 +121,19 @@ def kalman_predict(s: KalmanState, dt: float, q: float) -> KalmanState:
     order as the kinematic step functions so that loss-free streams over
     model-consistent data replay the sender's trajectory bit-identically.
 
-    F @ cov @ F.T + Q is written out entry by entry. Each entry of F @ cov
-    and of (F @ cov) @ F.T is a sum a0*b0 + a1*b1 in which a1*b1 is exact,
+    F @ P @ F.T + Q is written out entry by entry. Each entry of F @ P
+    and of (F @ P) @ F.T is a sum a0*b0 + a1*b1 in which a1*b1 is exact,
     its F factor being 1 or 0. OpenBLAS computes the entry as
     fma(a1, b1, a0*b0), which is then the one rounded add written below,
     so the result is bitwise the matrix products' without a BLAS call per
     2x2.
     """
-    v, x, u = s.mean[..., 0], s.mean[..., 1], s.held_input
-    mean = np.empty(s.mean.shape)
-    mean[..., 0], mean[..., 1] = v + u * dt, x + v * dt + 0.5 * u * dt * dt
-    q_vv, q_vx, q_xx = q * dt, q * (0.5 * dt * dt), q * (dt ** 3 / 3.0)
-    p00, p01, p10, p11 = s.cov[..., 0, 0], s.cov[..., 0, 1], s.cov[..., 1, 0], s.cov[..., 1, 1]
-    fp10 = dt * p00 + p10
-    cov = np.empty(s.cov.shape)
-    cov[..., 0, 0] = p00 + q_vv
-    cov[..., 0, 1] = (p00 * dt + p01) + q_vx
-    cov[..., 1, 0] = fp10 + q_vx
-    cov[..., 1, 1] = (fp10 * dt + (dt * p01 + p11)) + q_xx
-    if not np.isfinite(cov).all():  # the covariance follows from q, r, p0, dt and the losses, never the trace
+    v, x, p_vv, p_vx, p_xx, u = s
+    p_vv, p_vx, p_xx = (p_vv + q * dt, (p_vv * dt + p_vx) + q * (0.5 * dt * dt),
+                        ((dt * p_vv + p_vx) * dt + (dt * p_vx + p_xx)) + q * (dt ** 3 / 3.0))
+    if not all(np.isfinite(p).all() for p in (p_vv, p_vx, p_xx)):  # from q, r, p0, dt and losses, never the trace
         raise ConfigError(f"the kalman tuning (q, r, p0) overflows the filter covariance at q={q}, dt={dt}")
-    return KalmanState(mean, cov, s.held_input)
+    return KalmanState(v + u * dt, x + v * dt + 0.5 * u * dt * dt, p_vv, p_vx, p_xx, u)
 
 
 def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, measured_a: float | np.ndarray,
@@ -150,18 +144,21 @@ def kalman_correct(s: KalmanState, measured_x: float | np.ndarray, measured_a: f
         raise ValueError(f"non-finite measurement: {measured_x}")
     if r <= 0.0:
         raise ValueError(f"measurement variance must be > 0: {r}")
-    gain = s.cov[..., :, 1] / (s.cov[..., 1:, 1] + r)
-    mean = s.mean + gain * (measured_x - s.mean[..., 1])[..., None]
+    residual, innovation_var = measured_x - s.x, s.p_xx + r
+    gain = np.stack(np.broadcast_arrays(s.p_vx / innovation_var, s.p_xx / innovation_var), axis=-1)
+    # The Joseph product stays numpy's 2x2 `@`: the golden bytes hold OpenBLAS's fma results.
+    cov = np.stack(np.broadcast_arrays(s.p_vv, s.p_vx, s.p_vx, s.p_xx), axis=-1).reshape(gain.shape + (2,))
     ikc = np.eye(2) - gain[..., :, None] * np.array([0.0, 1.0])  # I - K C
-    cov = ikc @ s.cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
+    cov = ikc @ cov @ ikc.swapaxes(-1, -2) + r * (gain[..., :, None] * gain[..., None, :])
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    return KalmanState(mean, cov, measured_a)
+    return KalmanState(s.v + gain[..., 0] * residual, s.x + gain[..., 1] * residual,
+                       cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1], measured_a)
 
 
-def kalman_emit(s: KalmanState) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+def kalman_emit(s: KalmanState) -> tuple[float | np.ndarray, np.ndarray, float | np.ndarray]:
     """The estimate (x, v, a) the filter state stands for: its speed clamped at rest
     (a negative or -0.0 mean speed emits 0.0); the state itself stays unclamped."""
-    return s.mean[..., 1], np.where(s.mean[..., 0] > 0.0, s.mean[..., 0], 0.0), s.held_input
+    return s.x, np.where(s.v > 0.0, s.v, 0.0), s.u
 
 
 def estimate_stream(
@@ -200,9 +197,9 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
         s = kalman_predict(s, dt, kcfg.q)
         if slot.delivered:
             s = kalman_correct(s, slot.state.x, slot.state.a, kcfg.r)
-        if not np.isfinite(s.mean).all():
+        if not (np.isfinite(s.v) and np.isfinite(s.x)):
             raise TraceFormatError(f"non-finite vehicle state estimate at step {k}: "
-                                   f"v={s.mean[0]}, x={s.mean[1]} (the LV trace overflows the kalman estimator)")
+                                   f"v={s.v}, x={s.x} (the LV trace overflows the kalman estimator)")
         estimates.append(VehicleState(*map(float, kalman_emit(s))))
     return estimates
 
@@ -238,9 +235,7 @@ def estimate_batch(
         if k and kind is EstimatorKind.KALMAN:
             predicted = kalman_predict(s, dt, kcfg.q)
             corrected = kalman_correct(predicted, lv_x[k], lv_a[k], kcfg.r)  # kept only where the slot was delivered
-            s = KalmanState(np.where(d[..., None], corrected.mean, predicted.mean),
-                            np.where(d[..., None, None], corrected.cov, predicted.cov),
-                            np.where(d, corrected.held_input, predicted.held_input))
+            s = KalmanState(*(np.where(d, c, p) for c, p in zip(corrected, predicted)))
         elif k:
             if kind is EstimatorKind.CONSTANT_VELOCITY:
                 px, pv, pa = x + v * dt, v, 0.0

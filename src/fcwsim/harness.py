@@ -33,7 +33,7 @@ from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
 from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step, confusion
-from .scenarios import ScenarioTrace
+from .scenarios import FV_COLUMNS, LV_COLUMNS, ScenarioTrace
 
 try:  # built-in SHA-256, as random.py takes sha512: importing hashlib loads OpenSSL (3.7 MB of peak RSS)
     from _sha2 import sha256  # CPython 3.12+
@@ -194,8 +194,7 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     for (n_steps, t_s), members in by_shape.items():
         traces = [fleet[i] for i in members]
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
-        lv = data[..., 1, :], data[..., 2, :], data[..., 3, :]
-        fv = data[..., 4, :], data[..., 5, :], data[..., 6, :]
+        lv, fv = (tuple(data[..., j, :] for j in columns) for columns in (LV_COLUMNS, FV_COLUMNS))
         truth_warn = np.concatenate([warn for _, warn in _warn_blocks(zip(*lv), lv[0].shape[1:], fv, traces,
                                                                       "truth", cfg.camp)])
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)

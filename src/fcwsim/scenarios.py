@@ -38,7 +38,8 @@ from .errors import ConfigError, TraceFormatError
 from .kinematics import TimedState, VehicleState, step_ca_batch
 
 CSV_COLUMNS = ("t", "x_lv", "v_lv", "a_lv", "x_fv", "v_fv", "a_fv")
-SPEED_COLUMNS = (2, 5)
+LV_COLUMNS, FV_COLUMNS = (1, 2, 3), (4, 5, 6)  # each vehicle's (x, v, a) in CSV_COLUMNS
+SPEED_COLUMNS = (LV_COLUMNS[1], FV_COLUMNS[1])
 TIME_TOLERANCE = 1e-9
 MANIFEST_NAME = "manifest.json"
 
@@ -82,15 +83,15 @@ class ScenarioTrace:
 
     @cached_property
     def lv(self) -> tuple[TimedState, ...]:
-        return self._states(1)
+        return self._states(LV_COLUMNS)
 
     @cached_property
     def fv(self) -> tuple[TimedState, ...]:
-        return self._states(4)
+        return self._states(FV_COLUMNS)
 
-    def _states(self, first: int) -> tuple[TimedState, ...]:
-        columns = self.data[:, (0, first, first + 1, first + 2)].tolist()
-        return tuple(TimedState(t, VehicleState(x, v, a)) for t, x, v, a in columns)
+    def _states(self, columns: tuple[int, int, int]) -> tuple[TimedState, ...]:
+        rows = self.data[:, (0, *columns)].tolist()
+        return tuple(TimedState(t, VehicleState(x, v, a)) for t, x, v, a in rows)
 
     def steps(self) -> Iterator[tuple[TimedState, TimedState]]:
         return zip(self.lv, self.fv)
@@ -151,13 +152,13 @@ def _bad_reach(data: np.ndarray) -> tuple[int, str] | None:
     with room for rounding.
     """
     duration = float(data[-1, 0])
-    x, v, a = (np.abs(data[:, (j, j + 3)]) for j in (1, 2, 3))  # (steps, vehicle) each, LV first
+    x, v, a = (np.abs(data[:, columns]) for columns in zip(LV_COLUMNS, FV_COLUMNS))  # (steps, vehicle), LV first
     with np.errstate(over="ignore"):  # an overflowing reach is inf
         bad = ~np.isfinite(4.0 * (x + v * duration + a * duration * duration / 2))
     if not bad.any():
         return None
     k, vehicle = divmod(int(bad.argmax()), 2)
-    state = ", ".join(f"{CSV_COLUMNS[j]}={float(data[k, j])}" for j in range(1 + 3 * vehicle, 4 + 3 * vehicle))
+    state = ", ".join(f"{CSV_COLUMNS[j]}={float(data[k, j])}" for j in (LV_COLUMNS, FV_COLUMNS)[vehicle])
     return k, f"dead reckoning from {state} could overflow within the trace's {duration} s"
 
 

@@ -23,7 +23,7 @@ from fcwsim.kinematics import SampleClock, VehicleState
 from fcwsim.metrics import ConfusionCounts, aggregate
 from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet
 from test_acceptance import KALMAN_TUNINGS
-from tracebuild import trace_from_states
+from tracebuild import fast_follower_trace, trace_from_states
 
 CONFIGS = [
     (EstimatorKind.CONSTANT_VELOCITY, None),
@@ -146,6 +146,16 @@ def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
         assert sweep(fleet, cfg) == expected
         for cell in expected:
             assert run_cell(fleet, cell.estimator, cell.per, cfg) == cell
+
+
+@pytest.mark.parametrize("fleet, camp", [
+    pytest.param([fast_follower_trace()], CampParams(), id="v_fv1e200"),
+    pytest.param(generate_fleet(GenConfig(n_scenarios=2, seed=1)), CampParams(t_d=1e200), id="t_d1e200"),
+])
+def test_sweep_matches_scalar_runs_where_the_warning_range_overflows(fleet, camp):
+    # The warning range overflows to inf on both paths; under the suite's warnings-as-errors
+    # filter, a numpy RuntimeWarning from the kernel fails this test.
+    _check_sweep_against_scalar_runs(fleet, camp, seeds=2, master_seed=0)
 
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))

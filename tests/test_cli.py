@@ -19,6 +19,7 @@ from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind, KalmanConfig
 from fcwsim.harness import RunConfig
 from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet, save_fleet
+from tracebuild import fast_follower_trace
 
 
 @pytest.fixture()
@@ -339,6 +340,21 @@ def test_kalman_tuning_that_overflows_the_covariance_is_config_error(tmp_path, c
     # tunings whose covariance stays finite still run
     assert main(sweep + ["--per", "0.97", "--kalman-q", "1e300"]) == 0
     assert main(sweep + ["--per", "0.0", "--kalman-p0", "5e307"]) == 0
+
+
+def test_run_and_sweep_are_silent_when_the_warning_range_overflows(tmp_path, fleet_dir):
+    # An FV at 1e200 m/s, or t_d = 1e200 s, makes the warning range overflow to inf. The scalar
+    # path's floats do so silently, and the sweep's arrays must not print numpy's RuntimeWarnings.
+    save_fleet([fast_follower_trace()], tmp_path / "fast")
+    src = str(Path(fcwsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for fleet, camp in ((tmp_path / "fast", []), (fleet_dir, ["--td", "1e200"])):
+        for argv in (["sweep", "--fleet", str(fleet), "--seeds", "2", "--out", str(tmp_path / "out")],
+                     ["run", "--fleet", str(fleet), "--scenario", "s0000", "--estimator", "kalman", "--per", "0.5",
+                      "--out", str(tmp_path / "x.csv")]):
+            done = subprocess.run([sys.executable, "-m", "fcwsim.cli", *argv, *camp], env=env, capture_output=True,
+                                  text=True)
+            assert (done.returncode, done.stderr) == (0, ""), argv + camp
 
 
 def test_gen_rejects_bad_config(tmp_path, capsys):

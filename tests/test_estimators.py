@@ -49,66 +49,58 @@ def test_ca_predict_stopping():
 
 
 def test_kalman_predict_substitutions():
-    s = KalmanState(np.array([2.0, 0.0]), np.zeros((2, 2)), 0.0)
-    got = kalman_predict(s, 0.1, q=1.0)
-    assert got.mean == pytest.approx([2.0, 0.2], rel=1e-12)
+    got = kalman_predict(KalmanState(2.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.1, q=1.0)
+    assert (got.v, got.x) == pytest.approx((2.0, 0.2), rel=1e-12)
 
-    s = KalmanState(np.array([10.0, 0.0]), np.zeros((2, 2)), -2.0)
-    got = kalman_predict(s, 0.1, q=1.0)
-    assert got.mean == pytest.approx([9.8, 0.99], rel=1e-12)
+    got = kalman_predict(KalmanState(10.0, 0.0, 0.0, 0.0, 0.0, -2.0), 0.1, q=1.0)
+    assert (got.v, got.x) == pytest.approx((9.8, 0.99), rel=1e-12)
 
-    s = KalmanState(np.array([0.0, 0.0]), np.eye(2), 0.0)
-    got = kalman_predict(s, 0.1, q=0.0)
-    assert got.cov == pytest.approx(np.array([[1.0, 0.1], [0.1, 1.01]]), rel=1e-12)
+    got = kalman_predict(KalmanState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), 0.1, q=0.0)
+    assert (got.p_vv, got.p_vx, got.p_xx) == pytest.approx((1.0, 0.1, 1.01), rel=1e-12)
 
 
 def test_kalman_predict_rejects_an_overflowing_covariance():
     # the covariance never depends on the trace's values, so its overflow is the tuning's fault
-    big = np.full((2, 2), 1.7e308)
+    big = 1.7e308
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
-        kalman_predict(KalmanState(np.zeros(2), big, 0.0), 0.1, 1.0)
-    runs = KalmanState(np.zeros((3, 2)), np.stack([np.eye(2), big, np.eye(2)]), np.zeros(3))
+        kalman_predict(KalmanState(0.0, 0.0, big, big, big, 0.0), 0.1, 1.0)
+    entries = np.array([1.0, big, 1.0]), np.array([0.0, big, 0.0]), np.array([1.0, big, 1.0])
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
-        kalman_predict(runs, 0.1, 1.0)
+        kalman_predict(KalmanState(np.zeros(3), np.zeros(3), *entries, np.zeros(3)), 0.1, 1.0)
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="kalman tuning"):
-        kalman_predict(KalmanState(np.zeros(2), np.eye(2), 0.0), 10.0, 1e308)
+        kalman_predict(KalmanState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), 10.0, 1e308)
 
 
 def test_kalman_correct_zero_gain():
-    s = KalmanState(np.array([1.0, 2.0]), np.zeros((2, 2)), 0.0)
-    got = kalman_correct(s, 100.0, 0.0, 1.0)
-    assert got.mean == pytest.approx([1.0, 2.0], abs=0.0)
+    got = kalman_correct(KalmanState(1.0, 2.0, 0.0, 0.0, 0.0, 0.0), 100.0, 0.0, 1.0)
+    assert (got.v, got.x) == pytest.approx((1.0, 2.0), abs=0.0)
 
 
 def test_kalman_correct_perfect_measurement_limit():
-    s = KalmanState(np.array([5.0, 10.0]), np.eye(2), 0.0)
-    got = kalman_correct(s, 12.0, 0.0, 1e-12)
-    assert got.mean[1] == pytest.approx(12.0, abs=1e-9)
+    got = kalman_correct(KalmanState(5.0, 10.0, 1.0, 0.0, 1.0, 0.0), 12.0, 0.0, 1e-12)
+    assert got.x == pytest.approx(12.0, abs=1e-9)
 
 
 def test_kalman_correct_scalar_innovation():
-    s = KalmanState(np.array([0.0, 0.0]), np.eye(2), 0.0)
-    got = kalman_correct(s, 2.0, 0.0, 1.0)
-    assert got.mean == pytest.approx([0.0, 1.0], rel=1e-12)
-    assert got.cov[1, 1] == pytest.approx(0.5, rel=1e-12)
+    got = kalman_correct(KalmanState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0), 2.0, 0.0, 1.0)
+    assert (got.v, got.x) == pytest.approx((0.0, 1.0), rel=1e-12)
+    assert got.p_xx == pytest.approx(0.5, rel=1e-12)
 
 
 def test_kalman_correct_rejects_bad_inputs():
-    s = KalmanState(np.array([0.0, 0.0]), np.eye(2), 0.0)
+    s = KalmanState(0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         kalman_correct(s, math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
         kalman_correct(s, 0.0, 0.0, 0.0)
-    runs = KalmanState(np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)), np.zeros(3))
+    runs = KalmanState(np.zeros(3), np.zeros(3), np.ones(3), np.zeros(3), np.ones(3), np.zeros(3))
     with pytest.raises(ValueError, match="non-finite measurement"):
         kalman_correct(runs, np.array([0.0, math.nan, 1.0]), np.zeros(3), 1.0)
 
 
 def test_kalman_emit_mapping():
-    s = KalmanState(np.array([9.8, 0.99]), np.eye(2), -2.0)
-    assert kalman_emit(s) == (0.99, 9.8, -2.0)
-    s = KalmanState(np.array([-0.5, 3.0]), np.eye(2), 0.0)
-    assert kalman_emit(s) == (3.0, 0.0, 0.0)
+    assert kalman_emit(KalmanState(9.8, 0.99, 1.0, 0.0, 1.0, -2.0)) == (0.99, 9.8, -2.0)
+    assert kalman_emit(KalmanState(-0.5, 3.0, 1.0, 0.0, 1.0, 0.0)) == (3.0, 0.0, 0.0)
     s = kalman_init(7.0, 4.0, 1.0, KalmanConfig().p0)
     assert kalman_emit(s) == (7.0, 4.0, 1.0)
 
@@ -116,11 +108,23 @@ def test_kalman_emit_mapping():
 @pytest.mark.parametrize("v0, v_emitted", [(-1.0, 0.0), (-0.0, 0.0), (0.0, 0.0), (2.5, 2.5)])
 def test_kalman_init_emit_one_run_and_many(v0, v_emitted):
     expected = [value.hex() for value in (3.0, v_emitted, -1.5)]  # hex keeps the sign bit of a zero
-    one = kalman_emit(kalman_init(3.0, v0, -1.5, 2.0))
-    assert [float(value).hex() for value in one] == expected
-    many = kalman_emit(kalman_init(np.full(2, 3.0), np.full(2, v0), np.full(2, -1.5), 2.0))
+    one = kalman_init(3.0, v0, -1.5, 2.0)
+    assert [float(value).hex() for value in kalman_emit(one)] == expected
+    many = kalman_init(np.full(2, 3.0), np.full(2, v0), np.full(2, -1.5), 2.0)
     for run in range(2):
-        assert [float(value[run]).hex() for value in many] == expected
+        assert [float(value[run]).hex() for value in kalman_emit(many)] == expected
+
+    def predict(s, measured_x):
+        return kalman_predict(s, 0.1, 1.0)
+
+    def correct(s, measured_x):
+        return kalman_correct(s, measured_x, 0.5, 0.01)
+
+    many = KalmanState(*np.broadcast_arrays(*many))  # a covariance per run, as estimate_batch holds it
+    for step in (predict, correct, predict, predict, correct):
+        one, many = step(one, 3.5), step(many, np.full(2, 3.5))
+        for name, value, values in zip(KalmanState._fields, one, many):
+            assert [float(value).hex()] * 2 == [float(run).hex() for run in np.broadcast_to(values, 2)], name
 
 
 def test_kalman_config_validation():
@@ -222,10 +226,9 @@ def test_kalman_covariance_stays_symmetric_psd():
         if rng.random() < 0.5:
             s = kalman_predict(s, 0.1, kcfg.q)
         else:
-            s = kalman_correct(s, float(rng.normal(0, 50)), s.held_input, kcfg.r)
-        assert np.allclose(s.cov, s.cov.T, rtol=1e-9, atol=0.0)
-        eigs = np.linalg.eigvalsh(s.cov)
-        assert eigs.min() >= -1e-9 * np.trace(s.cov)
+            s = kalman_correct(s, float(rng.normal(0, 50)), s.u, kcfg.r)
+        assert s.p_vv >= 0.0 and s.p_xx >= 0.0  # symmetric by construction: p_vx is stored once
+        assert s.p_vv * s.p_xx - s.p_vx ** 2 >= -1e-9 * (s.p_vv + s.p_xx) ** 2
 
 
 def test_kalman_tracks_noiseless_constant_acceleration():
@@ -242,7 +245,7 @@ def test_kalman_converges_from_perturbed_init():
     dt, a = 0.1, -2.0
     kcfg = KalmanConfig(p0=10.0)
     x_t, v_t = 0.0, 15.0
-    s = KalmanState(np.array([v_t + 2.0, x_t]), np.eye(2) * kcfg.p0, a)
+    s = KalmanState(v_t + 2.0, x_t, kcfg.p0, 0.0, kcfg.p0, a)
     err = None
     for _ in range(50):
         x_t = step_position_ca(x_t, v_t, a, dt)

@@ -30,3 +30,12 @@ def trace_from_states(trace_id, t_s, lv, fv):
     """A trace from equal-length LV and FV VehicleState sequences; step k is at t = k * t_s."""
     rows = [(k * t_s, l.x, l.v, l.a, f.x, f.v, f.a) for k, (l, f) in enumerate(zip(lv, fv, strict=True))]
     return ScenarioTrace(trace_id, np.array(rows))
+
+
+def fast_follower_trace():
+    """A loadable trace s0000 whose FV speed of 1e200 m/s squares to inf in the CAMP warning range:
+    the LV is at rest 10 m ahead of the FV."""
+    data = np.zeros((151, 7))
+    data[:, 0] = np.arange(151) * 0.1
+    data[:, 1], data[:, 5] = 10.0, 1e200
+    return ScenarioTrace("s0000", data)
