@@ -12,23 +12,31 @@ invocations wrote before traces were held as arrays, keyed by their
 arguments. `tests/golden/step_logs.json` holds the SHA-256 of the step log
 of `run` on the same fleet, keyed by its arguments, one per estimator and
 one tuned Kalman run, written before the scalar and batched Kalman filter
-became one. Any change that moves a single output byte fails here.
+became one. `tests/golden/camp_rule.json` holds the SHA-256 of the CAMP
+Linear decision over a grid of states, with how often each BOR case, case
+2's out-braking branch and a warning occur on it, recorded while the rule
+still had a scalar and an array statement. Any change that moves a single output byte
+fails here.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fcwsim
 from fcwsim import metrics
+from fcwsim.camp_linear import CampParams, evaluate
 from fcwsim.cli import main
+from fcwsim.kinematics import VehicleState
 from fcwsim.scenarios import load_fleet, save_fleet
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,3 +140,39 @@ def test_gen_matches_golden_bytes_and_resaves_identically(tmp_path, command):
     assert digests(fleet_dir) == FLEET_DIGESTS[command]
     save_fleet(load_fleet(fleet_dir), resaved)
     assert digests(resaved) == FLEET_DIGESTS[command]
+
+
+CAMP_RULE = json.loads((GOLDEN / "camp_rule.json").read_text())
+
+
+def camp_rule_grid():
+    """(gap, FV, LV, CampParams) points that reach every branch of the CAMP Linear rule.
+
+    Speeds include 0 and eps_v exactly; accelerations sit at and around 0
+    and +-min_decel. t_d = 1e200 makes the warning range overflow. The gap
+    cycles through three values, so both warning outcomes occur.
+    """
+    params = (CampParams(), CampParams(t_d=1.0, eps_v=0.2, min_decel=0.5),
+              CampParams(t_d=2.5, eps_v=1.0, min_decel=0.05), CampParams(t_d=1e200))
+    gaps = itertools.cycle((0.5, 15.0, 60.0))
+    for camp in params:
+        e, m = camp.eps_v, camp.min_decel
+        speeds = (0.0, 0.5 * e, e, 3.0, 12.0, 30.0)
+        accels = (0.0, -0.0, m, -0.5 * m, -m, -1.5 * m, -4.0, -9.0, 1.5)
+        for fv_v, fv_a, lv_v, lv_a in itertools.product(speeds, accels, speeds, accels):
+            yield next(gaps), VehicleState(0.0, fv_v, fv_a), VehicleState(0.0, lv_v, lv_a), camp
+
+
+def camp_rule_digest(decisions):
+    """SHA-256 over float.hex of each decision's (r_w, r_d, bor, case, warn), one line per decision."""
+    lines = (",".join(float(v).hex() for v in (d.r_w, d.r_d, d.bor, d.bor_case, d.warn)) for d in decisions)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_camp_rule_matches_golden_digest():
+    decisions = [evaluate(gap, fv, lv, camp) for gap, fv, lv, camp in camp_rule_grid()]
+    assert len(decisions) == CAMP_RULE["points"]
+    assert camp_rule_digest(decisions) == CAMP_RULE["sha256"]
+    cases = Counter(str(int(d.bor_case)) for d in decisions)
+    warns = Counter("yes" if d.warn else "no" for d in decisions)
+    assert (cases, warns) == (CAMP_RULE["bor_cases"], CAMP_RULE["warn"])
