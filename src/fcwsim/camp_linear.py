@@ -14,6 +14,10 @@ fires when the current gap is at or inside r_w.
 
 Speeds predicted over t_d assume constant acceleration and clamp at zero;
 negative warning ranges (opening gaps) floor at zero.
+
+The rule is stated once, in `warning_range`, elementwise over numpy arrays
+of any shape. `evaluate` applies it to one step, `evaluate_steps` to every
+step of a run, and `warn_batch` to the sweep kernel's blocks of runs.
 """
 
 from __future__ import annotations
@@ -79,35 +83,31 @@ class WarningDecision:
     warn: bool
 
 
-def predict_speeds(fv: VehicleState, lv: VehicleState, t_d: float) -> tuple[float, float]:
-    """Speeds after t_d at constant acceleration, clamped at rest."""
-    v_fvp = max(0.0, fv.v + fv.a * t_d)
-    v_lvp = max(0.0, lv.v + lv.a * t_d)
-    return v_fvp, v_lvp
+def _where(condition, x, y):
+    """np.where, with a 0-d result as a numpy scalar, whose arithmetic skips the ufunc machinery."""
+    return np.where(condition, x, y)[()]
 
 
-def required_decel(a_lv: float, v_lv: float, v_fv: float, v_lvp: float, min_decel: float) -> float:
+def predict_speeds(v_fv, a_fv, v_lv, a_lv, t_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """FV and LV speeds after t_d at constant acceleration, clamped at rest."""
+    v_fvp, v_lvp = v_fv + a_fv * t_d, v_lv + a_lv * t_d
+    return _where(v_fvp > 0.0, v_fvp, 0.0), _where(v_lvp > 0.0, v_lvp, 0.0)
+
+
+def required_decel(a_lv, v_lv, v_fv, v_lvp, min_decel: float) -> np.ndarray:
     """Required FV deceleration for crash avoidance (CAMP regression).
 
     d = -5.3 + 0.68*a_LV + 2.57*[v_LV > 0] - 0.086*(v_FV - v_LVP),
     capped at -min_decel so the result is always a genuine deceleration.
     """
-    moving = 2.57 if v_lv > 0.0 else 0.0
-    d = -5.3 + 0.68 * a_lv + moving - 0.086 * (v_fv - v_lvp)
-    return min(d, -min_decel)
+    d = -5.3 + 0.68 * a_lv + _where(v_lv > 0.0, 2.57, 0.0) - 0.086 * (v_fv - v_lvp)
+    return _where(-min_decel < d, -min_decel, d)
 
 
-def brake_onset_range(
-    v_fvp: float,
-    v_lvp: float,
-    d_rqd: float,
-    d_lv: float,
-    lv_now: VehicleState,
-    params: CampParams,
-) -> tuple[float, BorCase]:
-    """Brake-onset range and the kinematic case that produced it.
+def brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, v_lv, params: CampParams) -> tuple[np.ndarray, np.ndarray]:
+    """Brake-onset range and the BorCase that produced it, given the LV's current speed v_lv.
 
-    Case 1 (LV stationary, lv_now.v <= eps_v):
+    Case 1 (LV stationary, v_lv <= eps_v):
         BOR = -v_FVP^2 / (2 * d_rqd)
     Otherwise compare stopping times t_F = v_FVP/|d_rqd| and
     t_L = v_LVP/|d_LV| (infinite unless d_LV < 0):
@@ -116,94 +116,65 @@ def brake_onset_range(
         out-brake the LV (d_rqd < d_LV), else 0.
     Case 3 (LV stops first, t_L < t_F):
         BOR = v_FVP^2/(-2*d_rqd) - v_LVP^2/(-2*d_LV)
-    The result floors at zero.
+    The result floors at zero. Every case is computed for every element
+    and the one that applies selected; a division that no selected case
+    uses gets a stand-in denominator of -1.
     """
-    if not d_rqd < 0.0:
+    if not np.asarray(d_rqd < 0.0).all():
         raise ValueError(f"required deceleration must be negative: {d_rqd}")
-    if lv_now.v <= params.eps_v:
-        bor = -(v_fvp * v_fvp) / (2.0 * d_rqd)
-        return max(0.0, bor), BorCase.LV_STATIONARY
-
+    braking, outbrakes = d_lv < 0.0, d_rqd < d_lv
+    d_lv_braking = _where(braking, d_lv, -1.0)
     t_f = v_fvp / -d_rqd
-    t_l = v_lvp / -d_lv if d_lv < 0.0 else math.inf
-    if t_l >= t_f:
-        dv = v_fvp - v_lvp
-        bor = -(dv * dv) / (2.0 * (d_rqd - d_lv)) if d_rqd < d_lv else 0.0
-        return max(0.0, bor), BorCase.LV_KEEPS_MOVING
+    t_l = _where(braking, v_lvp / -d_lv_braking, math.inf)
+    stationary, keeps_moving = v_lv <= params.eps_v, t_l >= t_f
+    case = _where(stationary, BorCase.LV_STATIONARY.value,
+                  _where(keeps_moving, BorCase.LV_KEEPS_MOVING.value, BorCase.LV_STOPS_FIRST.value))
+    dv = v_fvp - v_lvp
+    bor = _where(stationary, -(v_fvp * v_fvp) / (2.0 * d_rqd), _where(
+        keeps_moving,
+        _where(outbrakes, -(dv * dv) / (2.0 * _where(outbrakes, d_rqd - d_lv, -1.0)), 0.0),
+        v_fvp * v_fvp / (-2.0 * d_rqd) - v_lvp * v_lvp / (-2.0 * d_lv_braking)))
+    return _where(bor > 0.0, bor, 0.0), case
 
-    bor = v_fvp * v_fvp / (-2.0 * d_rqd) - v_lvp * v_lvp / (-2.0 * d_lv)
-    return max(0.0, bor), BorCase.LV_STOPS_FIRST
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing range is inf or nan, silently, as with Python floats
+def warning_range(v_fv, a_fv, v_lv, a_lv, params: CampParams) -> tuple[np.ndarray, ...]:
+    """(r_w, r_d, bor, case) from the FV's and (estimated) LV's speeds and accelerations.
 
-def warning_range(
-    fv: VehicleState, lv_est: VehicleState, params: CampParams
-) -> tuple[float, float, float, BorCase]:
-    """Compute (r_w, r_d, bor, bor_case) from the FV and (estimated) LV states."""
-    v_fvp, v_lvp = predict_speeds(fv, lv_est, params.t_d)
-    d_rqd = required_decel(lv_est.a, lv_est.v, fv.v, v_lvp, params.min_decel)
+    Elementwise over numpy arrays of any shape that broadcast together, 0-d
+    included; case is an int array of BorCase values.
+    """
+    t_d, floor = params.t_d, -params.min_decel
+    v_fvp, v_lvp = predict_speeds(v_fv, a_fv, v_lv, a_lv, t_d)
+    d_rqd = required_decel(a_lv, v_lv, v_fv, v_lvp, params.min_decel)
     # LV braking level: floor weak braking at min_decel; a non-braking LV
     # never stops on its own (infinite stopping time, handled in the cases).
-    d_lv = min(lv_est.a, -params.min_decel) if lv_est.a < 0.0 else lv_est.a
-    bor, case = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, lv_est, params)
-    t_d = params.t_d
-    r_d = 0.5 * (fv.a - lv_est.a) * t_d * t_d + (fv.v - lv_est.v) * t_d
-    r_w = max(0.0, bor + r_d)
-    return r_w, r_d, bor, case
+    d_lv = _where((a_lv < 0.0) & (floor < a_lv), floor, a_lv)
+    bor, case = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, v_lv, params)
+    r_d = 0.5 * (a_fv - a_lv) * t_d * t_d + (v_fv - v_lv) * t_d
+    r_w = bor + r_d
+    return _where(r_w > 0.0, r_w, 0.0), r_d, bor, case
 
 
-def evaluate(
-    gap: float, fv: VehicleState, lv_est: VehicleState, params: CampParams
-) -> WarningDecision:
-    """Flag a hazard when the gap is at or inside the warning range."""
-    if not math.isfinite(gap):
-        raise ValueError(f"non-finite gap: {gap}")
-    r_w, r_d, bor, case = warning_range(fv, lv_est, params)
-    return WarningDecision(r_w, r_d, bor, case, gap, gap <= r_w)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as silent as the scalar path's float overflow to inf
-def warn_batch(
-    gap: np.ndarray,
-    fv_v: np.ndarray,
-    fv_a: np.ndarray,
-    lv_v: np.ndarray,
-    lv_a: np.ndarray,
-    params: CampParams,
-) -> np.ndarray:
-    """`evaluate(...).warn` over arrays of (gap, FV, estimated LV) states.
-
-    Every branch of `warning_range` is computed elementwise with the same
-    expressions and the applicable one selected, so each element equals
-    the scalar decision. Divisions a branch does not select get a harmless
-    stand-in denominator.
-    """
+def warn_batch(gap: np.ndarray, v_fv, a_fv, v_lv, a_lv, params: CampParams) -> np.ndarray:
+    """Whether each gap is at or inside its warning range (`warning_range`'s arguments)."""
     if not np.isfinite(gap).all():
         raise ValueError("non-finite gap")
-    t_d, floor = params.t_d, -params.min_decel
-    v_fvp = np.where(fv_v + fv_a * t_d > 0.0, fv_v + fv_a * t_d, 0.0)
-    v_lvp = np.where(lv_v + lv_a * t_d > 0.0, lv_v + lv_a * t_d, 0.0)
-    moving = np.where(lv_v > 0.0, 2.57, 0.0)
-    d_rqd = -5.3 + 0.68 * lv_a + moving - 0.086 * (fv_v - v_lvp)
-    d_rqd = np.where(floor < d_rqd, floor, d_rqd)
-    d_lv = np.where((lv_a < 0.0) & (floor < lv_a), floor, lv_a)
-    braking = d_lv < 0.0
-    d_lv_neg = np.where(braking, d_lv, -1.0)
+    return gap <= warning_range(v_fv, a_fv, v_lv, a_lv, params)[0]
 
-    bor_stationary = -(v_fvp * v_fvp) / (2.0 * d_rqd)
-    t_f = v_fvp / -d_rqd
-    t_l = np.where(braking, v_lvp / -d_lv_neg, math.inf)
-    dv = v_fvp - v_lvp
-    outbrakes = d_rqd < d_lv
-    bor_keeps_moving = np.where(
-        outbrakes, -(dv * dv) / (2.0 * np.where(outbrakes, d_rqd - d_lv, -1.0)), 0.0
-    )
-    bor_stops_first = v_fvp * v_fvp / (-2.0 * d_rqd) - v_lvp * v_lvp / (-2.0 * d_lv_neg)
-    bor = np.where(
-        lv_v <= params.eps_v,
-        bor_stationary,
-        np.where(t_l >= t_f, bor_keeps_moving, bor_stops_first),
-    )
-    bor = np.where(bor > 0.0, bor, 0.0)
-    r_d = 0.5 * (fv_a - lv_a) * t_d * t_d + (fv_v - lv_v) * t_d
-    r_w = bor + r_d
-    return gap <= np.where(r_w > 0.0, r_w, 0.0)
+
+def evaluate_steps(gap: np.ndarray, v_fv, a_fv, v_lv, a_lv, params: CampParams) -> list[WarningDecision]:
+    """`evaluate` for every step of 1-d arrays of gaps and `warning_range`'s arguments, in one rule call."""
+    if not np.isfinite(gap).all():
+        raise ValueError(f"non-finite gap: {gap}")
+    r_w, r_d, bor, case = warning_range(v_fv, a_fv, v_lv, a_lv, params)
+    return list(map(WarningDecision, r_w.tolist(), r_d.tolist(), bor.tolist(), map(BorCase, case.tolist()),
+                    gap.tolist(), (gap <= r_w).tolist()))
+
+
+def evaluate(gap: float, fv: VehicleState, lv_est: VehicleState, params: CampParams) -> WarningDecision:
+    """Flag a hazard when the gap is at or inside the warning range: `evaluate_steps` for one step."""
+    if not math.isfinite(gap):
+        raise ValueError(f"non-finite gap: {gap}")
+    r_w, r_d, bor, case = warning_range(fv.v, fv.a, lv_est.v, lv_est.a, params)
+    return WarningDecision(float(r_w), float(r_d), float(bor), BorCase(case), gap, bool(gap <= r_w))

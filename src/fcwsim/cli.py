@@ -53,7 +53,12 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def parse_per_grid(text: str) -> tuple[float, ...]:
-    """PER grid: either 'start:stop:step' (inclusive) or 'p1,p2,...'."""
+    """PER grid: either 'start:stop:step' (inclusive) or 'p1,p2,...'.
+
+    A grid's points are rounded to 10 decimals, which undoes the float
+    error that start + i*step accumulates; list entries are used as given,
+    so `run --per P` replays the `sweep --per P` runs for every P.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -68,7 +73,7 @@ def parse_per_grid(text: str) -> tuple[float, ...]:
         values = tuple(round(start + i * step, 10) for i in range(count + 1))
         return tuple(v for v in values if v <= stop + 1e-12)
     try:
-        return tuple(round(float(p), 10) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"non-numeric PER list {text!r}") from exc
 

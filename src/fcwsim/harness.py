@@ -12,10 +12,12 @@ results never depend on the order runs are computed in, and extending the
 PER grid or seed count never perturbs existing cells. All estimators face
 the same loss masks, making their comparison paired.
 
-`run_scenario` steps one run through the scalar functions; it backs `run`
-and is the reference the batched sweep kernel is tested against.
-`count_runs` steps many runs together over arrays into one count array,
-`sweep` aggregates each cell's slab of it, and `run_cell` is a one-cell sweep.
+`run_scenario` steps one run through the per-run functions, with the
+CAMP Linear rule called once for each side of the run; it backs `run` and
+is the reference the batched sweep kernel is tested against. `count_runs`
+steps many runs together over arrays into one count array, `sweep`
+aggregates each cell's slab of it, and `run_cell` is a one-cell sweep. Both
+paths call the same `camp_linear.warning_range`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .camp_linear import CampParams, WarningDecision, evaluate, warn_batch
+from .camp_linear import CampParams, WarningDecision, evaluate_steps, warn_batch
 from .channel import ChannelConfig, delivery_masks, transmit
 from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
@@ -118,9 +120,9 @@ class SweepCell:
 
 
 def truth_decisions(trace: ScenarioTrace, camp: CampParams) -> list[WarningDecision]:
-    """Warning decisions from exact LV data; independent of estimator/PER/seed."""
-    return [evaluate(camp.gap(lv_ts.state.x, fv_ts.state.x), fv_ts.state, lv_ts.state, camp)
-            for lv_ts, fv_ts in trace.steps()]
+    """Warning decisions from exact LV data, one per step; independent of estimator/PER/seed."""
+    (x_lv, v_lv, a_lv), (x_fv, v_fv, a_fv) = (trace.data[:, columns].T for columns in (LV_COLUMNS, FV_COLUMNS))
+    return evaluate_steps(camp.gap(x_lv, x_fv), v_fv, a_fv, v_lv, a_lv, camp)
 
 
 def run_scenario(
@@ -135,16 +137,15 @@ def run_scenario(
     slots = transmit(trace.lv, ChannelConfig(per=per, seed=seed))
     estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
     truth = truth_decisions(trace, camp)
+    x_fv, v_fv, a_fv = trace.data[:, FV_COLUMNS].T
+    x, v, a = np.array([(est.x, est.v, est.a) for est in estimates]).T
+    est_decisions = evaluate_steps(camp.gap(x, x_fv), v_fv, a_fv, v, a, camp)
 
     log = []
     counts = ConfusionCounts()
-    for k, (lv_ts, fv_ts) in enumerate(trace.steps()):
-        est_state = estimates[k]
-        est_decision = evaluate(camp.gap(est_state.x, fv_ts.state.x), fv_ts.state, est_state, camp)
-        counts = classify_step(truth[k].warn, est_decision.warn, counts)
-        log.append(
-            StepRecord(lv_ts.t, lv_ts.state, est_state, slots[k].delivered, truth[k], est_decision)
-        )
+    for lv_ts, est_state, slot, truth_decision, est_decision in zip(trace.lv, estimates, slots, truth, est_decisions):
+        counts = classify_step(truth_decision.warn, est_decision.warn, counts)
+        log.append(StepRecord(lv_ts.t, lv_ts.state, est_state, slot.delivered, truth_decision, est_decision))
     return log, counts
 
 
@@ -175,9 +176,10 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     arrays are shaped (steps, 1, scenario, 1) so a block of steps
     broadcasts over the runs. Each group's loss masks are drawn once, and
     every estimator steps all of the group's runs through time together on
-    them, before the next group's arrays are built. Truth warnings, from the
-    exact LV states under cfg.camp, and each estimator's warnings are
-    evaluated and counted by the same `_warn_blocks`.
+    them, before the next group's arrays are built. A group's truth warnings,
+    from the exact LV states under cfg.camp, are one rule call over its
+    (steps, 1, scenario, 1) arrays; each estimator's warnings come a block of
+    steps at a time from `_warn_blocks`.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
@@ -195,8 +197,7 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
         traces = [fleet[i] for i in members]
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
         lv, fv = (tuple(data[..., j, :] for j in columns) for columns in (LV_COLUMNS, FV_COLUMNS))
-        truth_warn = np.concatenate([warn for _, warn in _warn_blocks(zip(*lv), lv[0].shape[1:], fv, traces,
-                                                                      "truth", cfg.camp)])
+        truth_warn = warn_batch(cfg.camp.gap(lv[0], fv[0]), fv[1], fv[2], lv[1], lv[2], cfg.camp)
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)
                  for per in cfg.pers for t in traces for j in range(cfg.seeds)]
         pers = np.repeat(cfg.pers, len(traces) * cfg.seeds)
@@ -206,22 +207,23 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
             estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
-            for steps, warn in _warn_blocks(estimates, ch.shape, fv, traces, kind.value, cfg.camp):
+            for steps, warn in _warn_blocks(estimates, ch.shape, fv, traces, kind, cfg.camp):
                 ch += (truth_warn[steps] & warn).sum(axis=0)
                 n_warn += warn.sum(axis=0)
             kind_counts[:, members] = np.stack(confusion(ch, n_truth, n_warn, n_steps), axis=-1)
     return counts
 
 
-def _warn_blocks(states: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int, ...], fv: tuple[np.ndarray, ...],
-                 traces: Sequence[ScenarioTrace], source: str, camp: CampParams) -> Iterator[tuple[slice, np.ndarray]]:
-    """Warnings from `states`, every step's LV (x, v, a) over runs of `run_shape`, a block of steps at a time.
+def _warn_blocks(estimates: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int, ...], fv: tuple[np.ndarray, ...],
+                 traces: Sequence[ScenarioTrace], kind: EstimatorKind,
+                 camp: CampParams) -> Iterator[tuple[slice, np.ndarray]]:
+    """Warnings from the `kind` estimator's per-step LV (x, v, a) over runs of `run_shape`, a block of steps at a time.
 
     Yields (steps, warn) for consecutive blocks of about BLOCK run-steps,
     and at least one step each. fv is the FV's (x, v, a) per step, shaped
     (steps, 1, scenario, 1) like run axis 1, the scenario axis of `traces`.
-    `states` runs with numpy's overflow warnings off, and a non-finite LV
-    state is a TraceFormatError that names the block's steps and the
+    `estimates` runs with numpy's overflow warnings off, and a non-finite LV
+    estimate is a TraceFormatError that names the block's steps and the
     scenario of its first non-finite run.
     """
     n_steps = len(fv[0])
@@ -230,12 +232,12 @@ def _warn_blocks(states: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int,
     for k0 in range(0, n_steps, size):
         n = min(size, n_steps - k0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block
-            for i, (x, v, a) in zip(range(n), states):
+            for i, (x, v, a) in zip(range(n), estimates):
                 block[0, i], block[1, i], block[2, i] = x, v, a
         finite = np.isfinite(block[:, :n]).all(axis=(0, 1))
         if not finite.all():
             raise TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + n - 1} (the LV trace "
-                                   f"overflows the {source} estimator) in scenario {traces[np.argwhere(~finite)[0][1]].id}")
+                                   f"overflows the {kind.value} estimator) in scenario {traces[np.argwhere(~finite)[0][1]].id}")
         (x, v, a), steps = block[:, :n], slice(k0, k0 + n)
         yield steps, warn_batch(camp.gap(x, fv[0][steps]), fv[1][steps], fv[2][steps], v, a, camp)
 

@@ -52,7 +52,7 @@ class ScenarioTrace:
     step, columns in CSV_COLUMNS order. Its time column is the only
     statement of the sample period: `t_s` is the spacing of the first two
     timestamps, and every later step must keep it. `lv` and `fv` give the
-    same states as TimedState tuples for the scalar per-run path; they are
+    same states as TimedState tuples for the per-run path; they are
     built on first use.
     """
 
@@ -103,7 +103,7 @@ def _first_fault(data: np.ndarray) -> tuple[int, str] | None:
     if len(data) < 2:
         return len(data), f"needs at least 2 steps, got {len(data)}"
     fault = _bad_value(data) or _bad_timing(data[:, 0]) or _bad_reach(data)
-    if fault is None and float(data[0, 1]) - float(data[0, 4]) <= 0.0:
+    if fault is None and float(data[0, LV_COLUMNS[0]]) - float(data[0, FV_COLUMNS[0]]) <= 0.0:
         fault = 0, "initial gap must be positive"
     return fault
 
@@ -113,7 +113,7 @@ def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
     finite = np.isfinite(data)
     negative = data[:, SPEED_COLUMNS] < 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x_lv - x_fv is inf
-        gap_finite = np.isfinite(data[:, 1] - data[:, 4])
+        gap_finite = np.isfinite(data[:, LV_COLUMNS[0]] - data[:, FV_COLUMNS[0]])
     bad = ~finite.all(axis=1) | negative.any(axis=1) | ~gap_finite
     if not bad.any():
         return None
@@ -124,7 +124,8 @@ def _bad_value(data: np.ndarray) -> tuple[int, str] | None:
     if negative[k].any():
         j = SPEED_COLUMNS[int(negative[k].argmax())]
         return k, f"negative speed {CSV_COLUMNS[j]}={float(data[k, j])}"
-    return k, f"non-finite gap x_lv - x_fv: x_lv={float(data[k, 1])}, x_fv={float(data[k, 4])}"
+    x_lv, x_fv = float(data[k, LV_COLUMNS[0]]), float(data[k, FV_COLUMNS[0]])
+    return k, f"non-finite gap x_lv - x_fv: x_lv={x_lv}, x_fv={x_fv}"
 
 
 def _bad_timing(t: np.ndarray) -> tuple[int, str] | None:
@@ -235,12 +236,13 @@ def _integrate_fleet(cfg: GenConfig) -> np.ndarray:
     x_fv = np.zeros_like(x_lv)
     dt = cfg.t_s
     data = np.zeros((cfg.n_scenarios, n_steps, len(CSV_COLUMNS)))
-    data[:, :, 5] = v_fv[:, None]
+    data[:, :, FV_COLUMNS[1]] = v_fv[:, None]
+    stepped = (CSV_COLUMNS.index("t"), *LV_COLUMNS, FV_COLUMNS[0])  # t, the LV's (x, v, a) and x_fv
     for k in range(n_steps):
         # The braking level applies from the onset step until the LV rests.
         a = np.where((k >= onset_step) & (v > 0.0), decel, 0.0)
-        data[:, k, 0] = k * dt
-        data[:, k, 1], data[:, k, 2], data[:, k, 3], data[:, k, 4] = x_lv, v, a, x_fv
+        for j, column in zip(stepped, (k * dt, x_lv, v, a, x_fv)):
+            data[:, k, j] = column
         x_lv, v = step_ca_batch(x_lv, v, a, dt)
         x_fv = x_fv + v_fv * dt
     return data

@@ -125,7 +125,7 @@ def test_criterion_2_equation_unit_suite():
         warning_range,
     )
 
-    v_fvp, v_lvp = predict_speeds(VehicleState(0, 20, -2), VehicleState(0, 15, 1), 1.0)
+    v_fvp, v_lvp = predict_speeds(20.0, -2.0, 15.0, 1.0, 1.0)
     close(v_fvp, 18.0)
     close(v_lvp, 16.0)
     close(required_decel(0.0, 0.0, 10.0, 10.0, CampParams().min_decel), -5.3)
@@ -134,15 +134,15 @@ def test_criterion_2_equation_unit_suite():
 
     # brake-onset range cases
     params = CampParams()
-    bor, _ = brake_onset_range(20.0, 0.0, -5.0, 0.0, VehicleState(0, 0, 0), params)
+    bor, _ = brake_onset_range(20.0, 0.0, -5.0, 0.0, 0.0, params)
     close(bor, 40.0)
-    bor, _ = brake_onset_range(20.0, 10.0, -5.0, -10.0, VehicleState(0, 10, -10), params)
+    bor, _ = brake_onset_range(20.0, 10.0, -5.0, -10.0, 10.0, params)
     close(bor, 35.0)
 
     # reaction distance
     p1 = CampParams(t_d=1.0)
-    close(warning_range(VehicleState(0, 20, -1), VehicleState(0, 10, -1), p1)[1], 10.0)
-    close(warning_range(VehicleState(0, 10, 1), VehicleState(0, 10, -1), p1)[1], 1.0)
+    close(warning_range(20.0, -1.0, 10.0, -1.0, p1)[1], 10.0)
+    close(warning_range(10.0, 1.0, 10.0, -1.0, p1)[1], 1.0)
 
     # metrics ratios
     close(aggregate([ConfusionCounts(ch=8, is_=2)]).mean_tp, 0.8)

@@ -42,10 +42,10 @@ def bor_oracle(v_fvp, v_lvp, d_fv, d_lv, dt=1e-4, horizon=120.0):
 
 
 def test_predict_speeds_substitutions():
-    assert predict_speeds(VehicleState(0, 20, 0), VehicleState(0, 15, 0), 1.0) == (20.0, 15.0)
-    got = predict_speeds(VehicleState(0, 20, -2), VehicleState(0, 15, 1), 1.0)
+    assert predict_speeds(20.0, 0.0, 15.0, 0.0, 1.0) == (20.0, 15.0)
+    got = predict_speeds(20.0, -2.0, 15.0, 1.0, 1.0)
     assert got == pytest.approx((18.0, 16.0), rel=1e-9)
-    _, v_lvp = predict_speeds(VehicleState(0, 20, 0), VehicleState(0, 1, -3), 1.0)
+    _, v_lvp = predict_speeds(20.0, 0.0, 1.0, -3.0, 1.0)
     assert v_lvp == 0.0  # clamped from -2
 
 
@@ -61,22 +61,22 @@ def test_required_decel_floor():
 
 
 def test_bor_case1_stationary():
-    bor, case = brake_onset_range(20.0, 0.0, -5.0, 0.0, VehicleState(0, 0, 0), PARAMS)
-    assert case is BorCase.LV_STATIONARY
+    bor, case = brake_onset_range(20.0, 0.0, -5.0, 0.0, 0.0, PARAMS)
+    assert case == BorCase.LV_STATIONARY
     assert bor == pytest.approx(40.0, rel=1e-9)
 
 
 def test_bor_case2_lv_keeps_moving():
     # t_L = 5 > t_F = 4, so the both-moving formula applies: 100/6 m
-    bor, case = brake_onset_range(20.0, 10.0, -5.0, -2.0, VehicleState(0, 10, -2), PARAMS)
-    assert case is BorCase.LV_KEEPS_MOVING
+    bor, case = brake_onset_range(20.0, 10.0, -5.0, -2.0, 10.0, PARAMS)
+    assert case == BorCase.LV_KEEPS_MOVING
     assert bor == pytest.approx(100.0 / 6.0, rel=1e-9)
     assert bor == pytest.approx(bor_oracle(20.0, 10.0, -5.0, -2.0), abs=1e-3)
 
 
 def test_bor_case3_lv_stops_first():
-    bor, case = brake_onset_range(20.0, 10.0, -5.0, -10.0, VehicleState(0, 10, -10), PARAMS)
-    assert case is BorCase.LV_STOPS_FIRST
+    bor, case = brake_onset_range(20.0, 10.0, -5.0, -10.0, 10.0, PARAMS)
+    assert case == BorCase.LV_STOPS_FIRST
     assert bor == pytest.approx(35.0, rel=1e-9)
     assert bor == pytest.approx(bor_oracle(20.0, 10.0, -5.0, -10.0), abs=1e-3)
 
@@ -88,14 +88,13 @@ def test_bor_matches_relative_motion_oracle_randomized():
         v_lvp = float(rng.uniform(0.6, v_fvp))  # moving LV, closing conflict
         d_rqd = float(rng.uniform(-9, -1))
         d_lv = float(rng.uniform(-9, -0.5))
-        lv_now = VehicleState(0.0, v_lvp, d_lv)
-        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, lv_now, PARAMS)
+        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, v_lvp, PARAMS)
         assert bor == pytest.approx(bor_oracle(v_fvp, v_lvp, d_rqd, d_lv), abs=5e-3)
 
 
 def test_bor_requires_negative_required_decel():
     with pytest.raises(ValueError):
-        brake_onset_range(20.0, 10.0, 0.0, -2.0, VehicleState(0, 10, -2), PARAMS)
+        brake_onset_range(20.0, 10.0, 0.0, -2.0, 10.0, PARAMS)
 
 
 def test_bor_never_negative():
@@ -105,8 +104,8 @@ def test_bor_never_negative():
         v_lvp = float(rng.uniform(0, 40))
         d_rqd = float(rng.uniform(-10, -0.1))
         d_lv = float(rng.uniform(-10, 5))
-        lv_now = VehicleState(0.0, float(rng.uniform(0, 40)), d_lv)
-        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, lv_now, PARAMS)
+        v_lv = float(rng.uniform(0, 40))
+        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, v_lv, PARAMS)
         assert bor >= 0.0
 
 
@@ -115,9 +114,9 @@ def test_bor_case1_closed_form():
     for _ in range(100):
         v_fvp = float(rng.uniform(0, 40))
         d_rqd = float(rng.uniform(-10, -0.1))
-        lv_now = VehicleState(0.0, float(rng.uniform(0, PARAMS.eps_v)), 0.0)
-        bor, case = brake_onset_range(v_fvp, 0.0, d_rqd, 0.0, lv_now, PARAMS)
-        assert case is BorCase.LV_STATIONARY
+        v_lv = float(rng.uniform(0, PARAMS.eps_v))
+        bor, case = brake_onset_range(v_fvp, 0.0, d_rqd, 0.0, v_lv, PARAMS)
+        assert case == BorCase.LV_STATIONARY
         assert bor == v_fvp * v_fvp / (2.0 * abs(d_rqd))
 
 
@@ -129,37 +128,36 @@ def test_bor_case_boundary_continuity():
         v_lvp = float(rng.uniform(1, v_fvp))
         d_rqd = float(rng.uniform(-10, -0.5))
         d_lv = d_rqd * v_lvp / v_fvp  # equal stopping times
-        lv_now = VehicleState(0.0, v_lvp, d_lv)
         case2 = -((v_fvp - v_lvp) ** 2) / (2.0 * (d_rqd - d_lv))
         case3 = v_fvp**2 / (-2.0 * d_rqd) - v_lvp**2 / (-2.0 * d_lv)
         assert case2 == pytest.approx(case3, abs=1e-6)
-        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, lv_now, PARAMS)
+        bor, _ = brake_onset_range(v_fvp, v_lvp, d_rqd, d_lv, v_lvp, PARAMS)
         assert bor == pytest.approx(max(0.0, case2), abs=1e-6)
 
 
 def test_reaction_distance_substitutions():
     params = CampParams(t_d=1.0)
     # equal accelerations, 10 m/s closing speed
-    r_w, r_d, bor, _ = warning_range(VehicleState(0, 20, -1), VehicleState(0, 10, -1), params)
+    r_w, r_d, bor, _ = warning_range(20.0, -1.0, 10.0, -1.0, params)
     assert r_d == pytest.approx(10.0, rel=1e-9)
     # equal speeds, 2 m/s^2 acceleration difference
-    r_w, r_d, bor, _ = warning_range(VehicleState(0, 10, 1), VehicleState(0, 10, -1), params)
+    r_w, r_d, bor, _ = warning_range(10.0, 1.0, 10.0, -1.0, params)
     assert r_d == pytest.approx(1.0, rel=1e-9)
 
 
 def test_degenerate_rest_case():
     fv = VehicleState(0.0, 0.0, 0.0)
     lv = VehicleState(50.0, 0.0, 0.0)
-    r_w, r_d, bor, case = warning_range(fv, lv, PARAMS)
+    r_w, r_d, bor, case = warning_range(fv.v, fv.a, lv.v, lv.a, PARAMS)
     assert (r_w, r_d, bor) == (0.0, 0.0, 0.0)
-    assert case is BorCase.LV_STATIONARY
+    assert case == BorCase.LV_STATIONARY
     assert not evaluate(50.0, fv, lv, PARAMS).warn
 
 
 def test_evaluate_threshold_inclusive():
     fv = VehicleState(0.0, 20.0, 0.0)
     lv = VehicleState(100.0, 0.1, 0.0)
-    r_w, _, _, _ = warning_range(fv, lv, PARAMS)
+    r_w, _, _, _ = warning_range(fv.v, fv.a, lv.v, lv.a, PARAMS)
     assert r_w > 0.0
     assert not evaluate(r_w + 1.0, fv, lv, PARAMS).warn
     assert evaluate(r_w, fv, lv, PARAMS).warn  # boundary fires

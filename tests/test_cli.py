@@ -40,6 +40,10 @@ def test_parse_per_grid_list_form():
     assert parse_per_grid("0.1,0.5,0.9") == (0.1, 0.5, 0.9)
 
 
+def test_parse_per_grid_list_entries_are_used_as_given():
+    assert parse_per_grid("0.0512345678912,1e-11,0.5") == (0.0512345678912, 1e-11, 0.5)
+
+
 def test_parse_per_grid_errors():
     for bad in ("0.1:0.9", "0.9:0.1:0.1", "0.1:0.9:0", "a,b", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
         with pytest.raises(ConfigError):
@@ -409,6 +413,20 @@ def test_run_replays_seed_index_zero_of_sweep(tmp_path, capsys):
         cell, = json.loads((tmp_path / "sweep" / "summary.json").read_text())["cells"]
         assert cell["mean_accuracy"] == (ch + cs) / (ch + cs + is_ + ih)
         assert cell["mean_tp"] == ch / (ch + is_)
+
+
+def test_run_replays_sweep_at_a_per_with_more_than_ten_decimals(tmp_path, capsys):
+    # Rounding this PER to 10 decimals gives another seed key and loss mask: seed index 0 then counts (121, 29, 1, 0).
+    fleet, per = tmp_path / "fleet", "0.0512345678912"
+    assert main(["gen", "--n", "1", "--seed", "1", "--out", str(fleet)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--fleet", str(fleet), "--scenario", "s0000", "--estimator", "cv", "--per", per,
+                 "--seed", "1", "--out", str(tmp_path / "log.csv")]) == 0
+    assert capsys.readouterr().out.endswith("(ch=122 cs=29 is=0 ih=0)\n")
+    assert main(["sweep", "--fleet", str(fleet), "--estimators", "cv", "--per", per, "--seeds", "1",
+                 "--master-seed", "1", "--out", str(tmp_path / "sweep")]) == 0
+    cell, = json.loads((tmp_path / "sweep" / "summary.json").read_text())["cells"]
+    assert (cell["per"], cell["mean_tp"], cell["mean_accuracy"]) == (float(per), 1.0, 1.0)
 
 
 def test_fleet_that_dead_reckons_to_overflow_is_parse_error(tmp_path, capsys):

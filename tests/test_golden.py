@@ -30,11 +30,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fcwsim
 from fcwsim import metrics
-from fcwsim.camp_linear import CampParams, evaluate
+from fcwsim.camp_linear import CampParams, evaluate, evaluate_steps
 from fcwsim.cli import main
 from fcwsim.kinematics import VehicleState
 from fcwsim.scenarios import load_fleet, save_fleet
@@ -170,8 +171,15 @@ def camp_rule_digest(decisions):
 
 
 def test_camp_rule_matches_golden_digest():
-    decisions = [evaluate(gap, fv, lv, camp) for gap, fv, lv, camp in camp_rule_grid()]
+    grid = list(camp_rule_grid())
+    decisions = [evaluate(gap, fv, lv, camp) for gap, fv, lv, camp in grid]
     assert len(decisions) == CAMP_RULE["points"]
+    assert camp_rule_digest(decisions) == CAMP_RULE["sha256"]
+    # the same rule over arrays: one evaluate_steps call per CampParams
+    decisions = []
+    for camp, points in itertools.groupby(grid, key=lambda point: point[3]):
+        gap, v_fv, a_fv, v_lv, a_lv = np.array([(gap, fv.v, fv.a, lv.v, lv.a) for gap, fv, lv, _ in points]).T
+        decisions += evaluate_steps(gap, v_fv, a_fv, v_lv, a_lv, camp)
     assert camp_rule_digest(decisions) == CAMP_RULE["sha256"]
     cases = Counter(str(int(d.bor_case)) for d in decisions)
     warns = Counter("yes" if d.warn else "no" for d in decisions)
