@@ -93,9 +93,6 @@ class ScenarioTrace:
         rows = self.data[:, (0, *columns)].tolist()
         return tuple(TimedState(t, VehicleState(x, v, a)) for t, x, v, a in rows)
 
-    def steps(self) -> Iterator[tuple[TimedState, TimedState]]:
-        return zip(self.lv, self.fv)
-
 
 def _first_fault(data: np.ndarray) -> tuple[int, str] | None:
     """A (steps, 7) trace array's first fault and its step, or None. In order: fewer than 2 steps (at the

@@ -199,7 +199,7 @@ def test_trace_data_is_a_read_only_copy():
 
 def test_state_views_match_the_array():
     trace = generate_fleet(GenConfig(n_scenarios=1, seed=8))[0]
-    for k, (lv, fv) in enumerate(trace.steps()):
+    for k, (lv, fv) in enumerate(zip(trace.lv, trace.fv)):
         row = trace.data[k].tolist()
         assert (lv.t, lv.state.x, lv.state.v, lv.state.a) == tuple(row[:4])
         assert (fv.t, fv.state.x, fv.state.v, fv.state.a) == (row[0], *row[4:])
