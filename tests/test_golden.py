@@ -15,8 +15,8 @@ one tuned Kalman run, written before the scalar and batched Kalman filter
 became one. `tests/golden/camp_rule.json` holds the SHA-256 of the CAMP
 Linear decision over a grid of states, with how often each BOR case, case
 2's out-braking branch and a warning occur on it, recorded while the rule
-still had a scalar and an array statement. Any change that moves a single output byte
-fails here.
+still had a scalar and an array statement. Any change that moves a single
+output byte fails here.
 """
 
 import hashlib
