@@ -60,7 +60,10 @@ def transmit(states: Sequence[TimedState], cfg: ChannelConfig) -> list[ReceivedS
     return apply_mask(states, delivery_masks(len(states), [cfg.per], [cfg.seed])[:, 0])
 
 
-CHUNK = 256  # runs drawn together: bounds the Philox intermediates to a few hundred kB
+# Runs drawn together. It bounds the Philox intermediates: a 1,000-run draw of 151 slots peaks at
+# 0.72 MB traced (the 0.15 MB mask included), against 1.28 MB at 256 runs, for the same CPU; an
+# 18,000-run draw takes about 20 ms more (tracemalloc and process_time on x86-64 Linux).
+CHUNK = 128
 MASK32 = 0xFFFFFFFF
 # Constants as 0-d uint64 arrays, which numpy takes as operands faster than Python ints.
 _LOW, _32 = (np.array(v, dtype=np.uint64) for v in (MASK32, 32))

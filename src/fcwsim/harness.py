@@ -47,11 +47,12 @@ except ImportError:
 
 SEED_DOMAIN = "fcwsim:v1"
 
-# Run-steps per block of warnings that `count_runs` evaluates: 32 KB per
-# float64 array. A block spreads numpy's per-call cost over its steps; its
-# size bounds the extra memory, which raised the peak RSS of a 200-run sweep
-# (20 scenarios x 10 PERs x 1 seed) by 1%, 36.5 -> 36.8 MB on x86-64
-# Linux. Groups of 4,096 runs or more get one step per block.
+# Run-steps per block of warnings that `count_runs` evaluates, truth and
+# estimates alike: 32 KB per float64 array. A block spreads numpy's per-call
+# cost over its steps; its size bounds the extra memory. A 200-run sweep
+# (20 scenarios x 10 PERs x 1 seed) peaks at 31.2 MB RSS, against 35.0 MB
+# with one block per group, on x86-64 Linux. Groups of 4,096 runs or more
+# get one step per block.
 BLOCK = 4096
 
 
@@ -177,9 +178,9 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     broadcasts over the runs. Each group's loss masks are drawn once, and
     every estimator steps all of the group's runs through time together on
     them, before the next group's arrays are built. A group's truth warnings,
-    from the exact LV states under cfg.camp, are one rule call over its
-    (steps, 1, scenario, 1) arrays; each estimator's warnings come a block of
-    steps at a time from `_warn_blocks`.
+    from the exact LV states under cfg.camp, fill one (steps, 1, scenario, 1)
+    bool array a block of steps at a time, and each estimator's warnings come
+    a block of steps at a time from `_warn_blocks`; `_block_steps` sizes both.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
@@ -197,7 +198,12 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
         traces = [fleet[i] for i in members]
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
         lv, fv = (tuple(data[..., j, :] for j in columns) for columns in (LV_COLUMNS, FV_COLUMNS))
-        truth_warn = warn_batch(cfg.camp.gap(lv[0], fv[0]), fv[1], fv[2], lv[1], lv[2], cfg.camp)
+        truth_warn = np.empty((n_steps, 1, len(traces), 1), dtype=bool)
+        size = _block_steps(n_steps, truth_warn.shape[1:])
+        for k0 in range(0, n_steps, size):
+            steps = slice(k0, k0 + size)
+            truth_warn[steps] = warn_batch(cfg.camp.gap(lv[0][steps], fv[0][steps]), fv[1][steps], fv[2][steps],
+                                           lv[1][steps], lv[2][steps], cfg.camp)
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)
                  for per in cfg.pers for t in traces for j in range(cfg.seeds)]
         pers = np.repeat(cfg.pers, len(traces) * cfg.seeds)
@@ -214,6 +220,11 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     return counts
 
 
+def _block_steps(n_steps: int, run_shape: tuple[int, ...]) -> int:
+    """Steps per block of warnings over runs of `run_shape`: about BLOCK run-steps, and at least one step."""
+    return min(n_steps, max(1, BLOCK // int(np.prod(run_shape))))
+
+
 def _warn_blocks(estimates: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int, ...], fv: tuple[np.ndarray, ...],
                  traces: Sequence[ScenarioTrace], kind: EstimatorKind,
                  camp: CampParams) -> Iterator[tuple[slice, np.ndarray]]:
@@ -227,7 +238,7 @@ def _warn_blocks(estimates: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[i
     scenario of its first non-finite run.
     """
     n_steps = len(fv[0])
-    size = min(n_steps, max(1, BLOCK // int(np.prod(run_shape))))
+    size = _block_steps(n_steps, run_shape)
     block = np.empty((3, size, *run_shape))
     for k0 in range(0, n_steps, size):
         n = min(size, n_steps - k0)

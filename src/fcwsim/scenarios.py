@@ -294,9 +294,14 @@ def _ulp_neighbors(value: float, radius: int) -> Iterator[float]:
 
 
 def save_csv(trace: ScenarioTrace, path: Path | str) -> None:
-    """Write a trace in the package CSV schema, CRLF line endings."""
+    """Write a trace in the package CSV schema, CRLF line endings.
+
+    Each distinct value is formatted once, keyed by its bit pattern so -0.0 keeps its sign.
+    """
+    keys, index = np.unique(trace.data.ravel().view(np.uint64), return_inverse=True)
+    text = np.array([repr(value) for value in keys.view(np.float64).tolist()], dtype=object)
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(map(repr, row)) for row in trace.data.tolist())
+    lines.extend(map(",".join, text[index.reshape(trace.data.shape)].tolist()))
     Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 

@@ -113,10 +113,21 @@ def test_first_kalman_estimate_is_emit_of_init():
 )
 def test_sweep_matches_scalar_runs(block, examples, monkeypatch):
     monkeypatch.setattr(harness, "BLOCK", block)
+    spans = []
+
+    def recording_warn_batch(*args):
+        """warn_batch that records each call's (elements, elements per step); the truth pass calls it too."""
+        shape = np.broadcast_shapes(*(np.shape(arg) for arg in args[:5]))
+        spans.append((int(np.prod(shape)), int(np.prod(shape[1:]))))
+        return warn_batch(*args)
+
+    monkeypatch.setattr(harness, "warn_batch", recording_warn_batch)
     check = given(fleet=fleets(), camp=camps, seeds=st.integers(1, 3), master_seed=st.integers(0, 2**32))(
         _check_sweep_against_scalar_runs
     )
     settings(max_examples=examples, deadline=None)(check)()
+    assert spans
+    assert [span for span in spans if span[0] > max(block, span[1])] == []
 
 
 def _check_sweep_against_scalar_runs(fleet, camp, seeds, master_seed):
