@@ -14,10 +14,10 @@ the same loss masks, making their comparison paired.
 
 `run_scenario` steps one run through the per-run functions, with the
 CAMP Linear rule called once for each side of the run; it backs `run` and
-is the reference the batched sweep kernel is tested against. `count_runs`
-steps many runs together over arrays into one count array, `sweep`
-aggregates each cell's slab of it, and `run_cell` is a one-cell sweep. Both
-paths call the same `camp_linear.warning_range`.
+is the reference for the sweep kernel. `count_runs` steps many runs over
+arrays into one count array, both sides' warnings from `_warn_blocks`;
+`sweep` aggregates each cell's slab of it. Both paths call the same
+`warning_range`, and reject a gap that overflows with the same OVERFLOW.
 """
 
 from __future__ import annotations
@@ -47,13 +47,15 @@ except ImportError:
 
 SEED_DOMAIN = "fcwsim:v1"
 
-# Run-steps per block of warnings that `count_runs` evaluates, truth and
+# Run-steps per block of warnings that `_warn_blocks` evaluates, truth and
 # estimates alike: 32 KB per float64 array. A block spreads numpy's per-call
 # cost over its steps; its size bounds the extra memory. A 200-run sweep
 # (20 scenarios x 10 PERs x 1 seed) peaks at 31.2 MB RSS, against 35.0 MB
 # with one block per group, on x86-64 Linux. Groups of 4,096 runs or more
 # get one step per block.
 BLOCK = 4096
+
+OVERFLOW = "non-finite vehicle state estimate in steps {}-{} (the LV trace overflows {}) in scenario {}"
 
 
 def derive_seed(master_seed: int, scenario_id: str, per: float, seed_index: int) -> int:
@@ -122,8 +124,17 @@ class SweepCell:
 
 def truth_decisions(trace: ScenarioTrace, camp: CampParams) -> list[WarningDecision]:
     """Warning decisions from exact LV data, one per step; independent of estimator/PER/seed."""
-    (x_lv, v_lv, a_lv), (x_fv, v_fv, a_fv) = (trace.data[:, columns].T for columns in (LV_COLUMNS, FV_COLUMNS))
-    return evaluate_steps(camp.gap(x_lv, x_fv), v_fv, a_fv, v_lv, a_lv, camp)
+    return _decisions(trace, trace.data[:, LV_COLUMNS].T, camp, "the truth side")
+
+
+def _decisions(trace: ScenarioTrace, lv: np.ndarray, camp: CampParams, source: str) -> list[WarningDecision]:
+    """`evaluate_steps` on `source`'s LV (x, v, a) per step of `trace`; a gap that overflows is OVERFLOW's error."""
+    (x, v, a), (x_fv, v_fv, a_fv) = lv, trace.data[:, FV_COLUMNS].T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap is caught as a non-finite one
+        gap = camp.gap(x, x_fv)
+    if not np.isfinite(gap).all():
+        raise TraceFormatError(OVERFLOW.format(0, len(gap) - 1, source, trace.id))
+    return evaluate_steps(gap, v_fv, a_fv, v, a, camp)
 
 
 def run_scenario(
@@ -138,9 +149,8 @@ def run_scenario(
     slots = transmit(trace.lv, ChannelConfig(per=per, seed=seed))
     estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
     truth = truth_decisions(trace, camp)
-    x_fv, v_fv, a_fv = trace.data[:, FV_COLUMNS].T
-    x, v, a = np.array([(est.x, est.v, est.a) for est in estimates]).T
-    est_decisions = evaluate_steps(camp.gap(x, x_fv), v_fv, a_fv, v, a, camp)
+    lv = np.array([(est.x, est.v, est.a) for est in estimates]).T
+    est_decisions = _decisions(trace, lv, camp, f"the {kind.value} estimator")
 
     log = []
     counts = ConfusionCounts()
@@ -177,10 +187,10 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     arrays are shaped (steps, 1, scenario, 1) so a block of steps
     broadcasts over the runs. Each group's loss masks are drawn once, and
     every estimator steps all of the group's runs through time together on
-    them, before the next group's arrays are built. A group's truth warnings,
-    from the exact LV states under cfg.camp, fill one (steps, 1, scenario, 1)
-    bool array a block of steps at a time, and each estimator's warnings come
-    a block of steps at a time from `_warn_blocks`; `_block_steps` sizes both.
+    them, before the next group's arrays are built. `_warn_blocks` gives the
+    group's truth warnings, from the exact LV states under cfg.camp, joined
+    into one (steps, 1, scenario, 1) bool array, and each estimator's a block
+    of steps at a time.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
@@ -198,59 +208,48 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
         traces = [fleet[i] for i in members]
         data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
         lv, fv = (tuple(data[..., j, :] for j in columns) for columns in (LV_COLUMNS, FV_COLUMNS))
-        truth_warn = np.empty((n_steps, 1, len(traces), 1), dtype=bool)
-        size = _block_steps(n_steps, truth_warn.shape[1:])
-        for k0 in range(0, n_steps, size):
-            steps = slice(k0, k0 + size)
-            truth_warn[steps] = warn_batch(cfg.camp.gap(lv[0][steps], fv[0][steps]), fv[1][steps], fv[2][steps],
-                                           lv[1][steps], lv[2][steps], cfg.camp)
+        truth = _warn_blocks(zip(*lv), (1, len(traces), 1), fv, traces, "the truth side", cfg.camp)
+        truth_warn = np.concatenate([warn for _, warn in truth])
         seeds = [derive_seed(cfg.master_seed, t.id, per, j)
                  for per in cfg.pers for t in traces for j in range(cfg.seeds)]
         pers = np.repeat(cfg.pers, len(traces) * cfg.seeds)
         delivered = delivery_masks(n_steps, pers, seeds).reshape(n_steps, len(cfg.pers), len(traces), cfg.seeds)
-        n_truth = truth_warn.sum(axis=0)
         for kind_counts, kind in zip(counts, cfg.estimators):
             ch = np.zeros(delivered.shape[1:], dtype=np.int64)
             n_warn = np.zeros_like(ch)
             estimates = estimate_batch(*lv, delivered, kind, t_s, cfg.kalman)
-            for steps, warn in _warn_blocks(estimates, ch.shape, fv, traces, kind, cfg.camp):
+            for steps, warn in _warn_blocks(estimates, ch.shape, fv, traces, f"the {kind.value} estimator", cfg.camp):
                 ch += (truth_warn[steps] & warn).sum(axis=0)
                 n_warn += warn.sum(axis=0)
-            kind_counts[:, members] = np.stack(confusion(ch, n_truth, n_warn, n_steps), axis=-1)
+            kind_counts[:, members] = np.stack(confusion(ch, truth_warn.sum(axis=0), n_warn, n_steps), axis=-1)
     return counts
 
 
-def _block_steps(n_steps: int, run_shape: tuple[int, ...]) -> int:
-    """Steps per block of warnings over runs of `run_shape`: about BLOCK run-steps, and at least one step."""
-    return min(n_steps, max(1, BLOCK // int(np.prod(run_shape))))
-
-
-def _warn_blocks(estimates: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int, ...], fv: tuple[np.ndarray, ...],
-                 traces: Sequence[ScenarioTrace], kind: EstimatorKind,
-                 camp: CampParams) -> Iterator[tuple[slice, np.ndarray]]:
-    """Warnings from the `kind` estimator's per-step LV (x, v, a) over runs of `run_shape`, a block of steps at a time.
+def _warn_blocks(states: Iterable[tuple[np.ndarray, ...]], run_shape: tuple[int, ...], fv: tuple[np.ndarray, ...],
+                 traces: Sequence[ScenarioTrace], source: str, camp: CampParams) -> Iterator[tuple[slice, np.ndarray]]:
+    """Warnings from `source`'s per-step LV (x, v, a) over runs of `run_shape`, a block of steps at a time.
 
     Yields (steps, warn) for consecutive blocks of about BLOCK run-steps,
     and at least one step each. fv is the FV's (x, v, a) per step, shaped
     (steps, 1, scenario, 1) like run axis 1, the scenario axis of `traces`.
-    `estimates` runs with numpy's overflow warnings off, and a non-finite LV
-    estimate is a TraceFormatError that names the block's steps and the
-    scenario of its first non-finite run.
+    `states` runs and the gap is formed with numpy's overflow warnings off;
+    a non-finite gap, v or a is a TraceFormatError that names the block's
+    steps, `source` and the scenario of its first non-finite run.
     """
     n_steps = len(fv[0])
-    size = _block_steps(n_steps, run_shape)
+    size = min(n_steps, max(1, BLOCK // int(np.prod(run_shape))))
     block = np.empty((3, size, *run_shape))
     for k0 in range(0, n_steps, size):
         n = min(size, n_steps - k0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as a non-finite block
-            for i, (x, v, a) in zip(range(n), estimates):
+            for i, (x, v, a) in zip(range(n), states):
                 block[0, i], block[1, i], block[2, i] = x, v, a
+            block[0, :n] = camp.gap(block[0, :n], fv[0][k0:k0 + n])
         finite = np.isfinite(block[:, :n]).all(axis=(0, 1))
         if not finite.all():
-            raise TraceFormatError(f"non-finite vehicle state estimate in steps {k0}-{k0 + n - 1} (the LV trace "
-                                   f"overflows the {kind.value} estimator) in scenario {traces[np.argwhere(~finite)[0][1]].id}")
-        (x, v, a), steps = block[:, :n], slice(k0, k0 + n)
-        yield steps, warn_batch(camp.gap(x, fv[0][steps]), fv[1][steps], fv[2][steps], v, a, camp)
+            raise TraceFormatError(OVERFLOW.format(k0, k0 + n - 1, source, traces[np.argwhere(~finite)[0][1]].id))
+        (gap, v, a), steps = block[:, :n], slice(k0, k0 + n)
+        yield steps, warn_batch(gap, fv[1][steps], fv[2][steps], v, a, camp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The batched sweep kernel against the scalar per-run oracle.
 
 The oracle for one run is transmit/apply_mask -> estimate_stream ->
-evaluate, as `run_scenario` chains them. The kernel is estimate_batch ->
-warn_batch over many runs at once, and `count_runs`/`sweep`/`run_cell` on
-top of it. Estimates must agree bit for bit, warnings, per-run counts and
-aggregated cells exactly, and an overflowing estimate must be named by
-its steps and scenario at every block size.
+`evaluate` per step, or `evaluate_steps` per run as `run_scenario` calls
+it. The kernel is estimate_batch -> warn_batch over many runs at once, and
+`count_runs`/`sweep`/`run_cell` on top of it. Estimates must agree bit for
+bit, warnings, per-run counts and aggregated cells exactly, and an
+overflowing estimate or gap must be named by its steps and scenario at
+every block size.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from fcwsim.kinematics import SampleClock, VehicleState
 from fcwsim.metrics import ConfusionCounts, aggregate
 from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet
 from test_acceptance import KALMAN_TUNINGS
-from tracebuild import fast_follower_trace, trace_from_states
+from tracebuild import fast_follower_trace, lv_jump_trace, trace_from_states
 
 CONFIGS = [
     (EstimatorKind.CONSTANT_VELOCITY, None),
@@ -185,17 +186,23 @@ def test_estimate_overflow_inside_a_block_is_rejected(kind):
     assert finite == [[True, True], [True, True]] + [[True, False]] * (n - 2)
 
 
-@pytest.mark.parametrize("block, steps", [(harness.BLOCK, "0-150"), (1, "2-2"), (7, "2-3")])
-def test_sweep_names_the_steps_and_scenario_that_overflow(block, steps, monkeypatch):
+@pytest.mark.parametrize("block, middle, cfg, steps", [
+    *(pytest.param(block, lv_jump_trace("s0002", 151, 0.1), RunConfig(pers=(0.0,), seeds=1), steps,
+                   id=f"{block}-{steps}") for block, steps in ((harness.BLOCK, "0-150"), (1, "2-2"), (7, "2-3"))),
+    *(pytest.param(block, lv_jump_trace("s0002", 6, 2.0, x_fv=-4e307), RunConfig(pers=(0.5,), seeds=1, master_seed=32),
+                   steps, id=f"gap-{block}-{steps}") for block, steps in ((harness.BLOCK, "0-5"), (1, "5-5"), (7, "0-5"))),
+])
+def test_sweep_names_the_steps_and_scenario_that_overflow(block, middle, cfg, steps, monkeypatch):
     # The middle scenario's delivered jumps of 8e307 m overflow the Kalman
     # speed at step 2. Three runs per estimator put step 2 in a block of
     # steps 0-150, of step 2 alone, or of steps 2-3, a block ending mid-trace.
-    data = np.zeros((151, 7))
-    data[:, 0] = np.arange(151) * 0.1
-    data[:, 1] = np.where(np.arange(151) % 2, -4e307, 4e307)
+    # In the "gap" cases, the middle scenario has 6 steps of 2 s and its own
+    # group of one run; at PER 0.5 and master seed 32 its Kalman position
+    # stays finite, but at step 5 is over 1.3e308 m ahead of the FV at
+    # -4e307 m, so only the gap overflows (steps 0-5 in one block, or 5-5).
     first, last = generate_fleet(GenConfig(n_scenarios=2, seed=1))
     monkeypatch.setattr(harness, "BLOCK", block)
     with pytest.raises(TraceFormatError) as error:
-        sweep([first, ScenarioTrace("s0002", data), last], RunConfig(pers=(0.0,), seeds=1))
+        sweep([first, middle, last], cfg)
     assert str(error.value) == (f"non-finite vehicle state estimate in steps {steps} "
                                 "(the LV trace overflows the kalman estimator) in scenario s0002")

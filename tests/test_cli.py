@@ -19,7 +19,7 @@ from fcwsim.errors import ConfigError
 from fcwsim.estimators import EstimatorKind, KalmanConfig
 from fcwsim.harness import RunConfig
 from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet, save_fleet
-from tracebuild import fast_follower_trace
+from tracebuild import fast_follower_trace, lv_jump_trace
 
 
 @pytest.fixture()
@@ -470,3 +470,29 @@ def test_fleet_that_overflows_the_kalman_filter_is_parse_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite vehicle state estimate") and err.endswith(" in scenario s0002\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("trace, run_flags, sweep_flags, source", [
+    # At seed 2 the Kalman position stays finite, but its gap to the FV at -4e307 m overflows at step 5.
+    pytest.param(lv_jump_trace("s0000", 6, 2.0, x_fv=-4e307), ["--estimator", "kalman", "--seed", "2"],
+                 ["--master-seed", "2"], "the kalman estimator", id="estimated"),
+    # x_lv - x_fv is finite at every row (1, then -8e307), but -8e307 - 1e308 is not.
+    pytest.param(ScenarioTrace("s0000", np.array([[0.0, 1.0, 0, 0, 0.0, 0, 0]]
+                                                 + [[0.1 * k, -4e307, 0, 0, 4e307, 0, 0] for k in range(1, 6)])),
+                 ["--estimator", "cv", "--length-offset=1e308"], ["--length-offset=1e308"], "the truth side", id="truth"),
+])
+def test_fleet_whose_gap_overflows_is_parse_error(tmp_path, capsys, trace, run_flags, sweep_flags, source):
+    # The loader accepts the fleet, and the monitored gap of one side overflows in both `run` and `sweep`.
+    fleet = tmp_path / "fleet"
+    save_fleet([trace], fleet)
+    run = ["run", "--fleet", str(fleet), "--scenario", "s0000", "--per", "0.5", "--out", str(tmp_path / "x.csv")]
+    sweep = ["sweep", "--fleet", str(fleet), "--seeds", "1", "--per", "0.5", "--out", str(tmp_path / "out")]
+    for argv in (run + run_flags, sweep + sweep_flags):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ("error: non-finite vehicle state estimate in steps 0-5 "
+                                           f"(the LV trace overflows {source}) in scenario s0000\n")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
+    # the dead-reckoning side of each fleet, with no length offset, runs
+    assert main(run + ["--estimator", "cv", "--seed", "2"]) == 0
+    assert main(sweep + ["--estimators", "cv,ca"]) == 0

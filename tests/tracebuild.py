@@ -39,3 +39,12 @@ def fast_follower_trace():
     data[:, 0] = np.arange(151) * 0.1
     data[:, 1], data[:, 5] = 10.0, 1e200
     return ScenarioTrace("s0000", data)
+
+
+def lv_jump_trace(trace_id, n_steps, t_s, x_fv=0.0):
+    """A loadable trace whose LV, at rest, is at +4e307 m on even steps and -4e307 m on odd ones, with the FV at
+    rest at x_fv: every value dead-reckons within reach, but each delivered jump is a huge Kalman innovation."""
+    data = np.zeros((n_steps, 7))
+    data[:, 0] = np.arange(n_steps) * t_s
+    data[:, 1], data[:, 4] = np.where(np.arange(n_steps) % 2, -4e307, 4e307), x_fv
+    return ScenarioTrace(trace_id, data)
