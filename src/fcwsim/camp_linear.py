@@ -158,15 +158,11 @@ def warning_range(v_fv, a_fv, v_lv, a_lv, params: CampParams) -> tuple[np.ndarra
 
 def warn_batch(gap: np.ndarray, v_fv, a_fv, v_lv, a_lv, params: CampParams) -> np.ndarray:
     """Whether each gap is at or inside its warning range (`warning_range`'s arguments)."""
-    if not np.isfinite(gap).all():
-        raise ValueError("non-finite gap")
     return gap <= warning_range(v_fv, a_fv, v_lv, a_lv, params)[0]
 
 
 def evaluate_steps(gap: np.ndarray, v_fv, a_fv, v_lv, a_lv, params: CampParams) -> list[WarningDecision]:
     """`evaluate` for every step of 1-d arrays of gaps and `warning_range`'s arguments, in one rule call."""
-    if not np.isfinite(gap).all():
-        raise ValueError(f"non-finite gap: {gap}")
     r_w, r_d, bor, case = warning_range(v_fv, a_fv, v_lv, a_lv, params)
     return list(map(WarningDecision, r_w.tolist(), r_d.tolist(), bor.tolist(), map(BorCase, case.tolist()),
                     gap.tolist(), (gap <= r_w).tolist()))

@@ -171,7 +171,8 @@ def estimate_stream(
 
     Delivered slots snap the dead-reckoning estimators to the received
     state (measurement-update the Kalman filter); dropped slots advance by
-    the selected prediction rule. slots[0] must be delivered.
+    the selected prediction rule. slots[0] must be delivered. A Kalman
+    estimate that overflows is a TraceFormatError naming its step.
     """
     if not slots or not slots[0].delivered:
         raise ValueError("estimate_stream requires a delivered slot 0")
@@ -188,7 +189,7 @@ def estimate_stream(
     return estimates
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as a non-finite mean
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as a non-finite estimate
 def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig) -> list[VehicleState]:
     first = slots[0].state
     s = kalman_init(first.x, first.v, first.a, kcfg.p0)
@@ -197,10 +198,11 @@ def _kalman_stream(slots: Sequence[ReceivedSlot], dt: float, kcfg: KalmanConfig)
         s = kalman_predict(s, dt, kcfg.q)
         if slot.delivered:
             s = kalman_correct(s, slot.state.x, slot.state.a, kcfg.r)
-        if not (np.isfinite(s.v) and np.isfinite(s.x)):
+        x, v, a = map(float, kalman_emit(s))
+        if not (math.isfinite(x) and math.isfinite(v)):  # a is a received acceleration
             raise TraceFormatError(f"non-finite vehicle state estimate at step {k}: "
-                                   f"v={s.v}, x={s.x} (the LV trace overflows the kalman estimator)")
-        estimates.append(VehicleState(*map(float, kalman_emit(s))))
+                                   f"v={v}, x={x} (the LV trace overflows the kalman estimator)")
+        estimates.append(VehicleState(x, v, a))
     return estimates
 
 

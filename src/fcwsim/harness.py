@@ -35,7 +35,7 @@ from .errors import ConfigError, TraceFormatError
 from .estimators import EstimatorKind, KalmanConfig, estimate_batch, estimate_stream
 from .kinematics import SampleClock, VehicleState
 from .metrics import ConfusionCounts, MetricSummary, aggregate, classify_step, confusion
-from .scenarios import FV_COLUMNS, LV_COLUMNS, ScenarioTrace
+from .scenarios import FV_COLUMNS, LV_COLUMNS, ScenarioTrace, group_rows, shape_groups
 
 try:  # built-in SHA-256, as random.py takes sha512: importing hashlib loads OpenSSL (3.7 MB of peak RSS)
     from _sha2 import sha256  # CPython 3.12+
@@ -50,9 +50,9 @@ SEED_DOMAIN = "fcwsim:v1"
 # Run-steps per block of warnings that `_warn_blocks` evaluates, truth and
 # estimates alike: 32 KB per float64 array. A block spreads numpy's per-call
 # cost over its steps; its size bounds the extra memory. A 200-run sweep
-# (20 scenarios x 10 PERs x 1 seed) peaks at 31.2 MB RSS, against 35.0 MB
-# with one block per group, on x86-64 Linux. Groups of 4,096 runs or more
-# get one step per block.
+# (20 scenarios x 10 PERs x 1 seed) over a loaded fleet, held once, peaks
+# at 31.2 MB RSS, against 34.6 MB with one block per group, on x86-64 Linux.
+# Groups of 4,096 runs or more get one step per block.
 BLOCK = 4096
 
 OVERFLOW = "non-finite vehicle state estimate in steps {}-{} (the LV trace overflows {}) in scenario {}"
@@ -145,12 +145,17 @@ def run_scenario(
     camp: CampParams = CampParams(),
     kalman: KalmanConfig = KalmanConfig(),
 ) -> tuple[list[StepRecord], ConfusionCounts]:
-    """Run one scenario through the full pipeline; deterministic in all inputs."""
-    slots = transmit(trace.lv, ChannelConfig(per=per, seed=seed))
-    estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
+    """Run one scenario through the full pipeline; deterministic in all inputs. As in a sweep, the truth side
+    is checked first, and an overflow on either side is OVERFLOW's error."""
     truth = truth_decisions(trace, camp)
+    source = f"the {kind.value} estimator"
+    slots = transmit(trace.lv, ChannelConfig(per=per, seed=seed))
+    try:
+        estimates = estimate_stream(slots, kind, SampleClock(t_s=trace.t_s), kalman)
+    except TraceFormatError:  # the Kalman filter's, which knows no scenario
+        raise TraceFormatError(OVERFLOW.format(0, len(trace) - 1, source, trace.id)) from None
     lv = np.array([(est.x, est.v, est.a) for est in estimates]).T
-    est_decisions = _decisions(trace, lv, camp, f"the {kind.value} estimator")
+    est_decisions = _decisions(trace, lv, camp, source)
 
     log = []
     counts = ConfusionCounts()
@@ -181,16 +186,18 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
     """Every run's (ch, cs, is_, ih) as an (estimator, PER, scenario, seed, 4) int64 array.
 
     Entry [e, p, i, j] is what `run_scenario` counts for fleet[i] under
-    cfg's estimator e, PER p and seed index j. Runs are grouped by
-    trace length and sample period, so each trace steps at its own period.
-    A group's runs have shape (PER, scenario, seed) and its per-scenario
-    arrays are shaped (steps, 1, scenario, 1) so a block of steps
+    cfg's estimator e, PER p and seed index j. Runs are grouped by trace
+    length and sample period (`shape_groups`), so each trace steps at its
+    own period. A group's traces are read in place when `load_fleet` laid
+    them out as one array, and stacked into one otherwise (`group_rows`). A
+    group's runs have shape (PER, scenario, seed) and its per-scenario
+    arrays are views shaped (steps, 1, scenario, 1) so a block of steps
     broadcasts over the runs. Each group's loss masks are drawn once, and
     every estimator steps all of the group's runs through time together on
     them, before the next group's arrays are built. `_warn_blocks` gives the
     group's truth warnings, from the exact LV states under cfg.camp, joined
-    into one (steps, 1, scenario, 1) bool array, and each estimator's a block
-    of steps at a time.
+    into one (steps, 1, scenario, 1) bool array, and each estimator's a
+    block of steps at a time.
     """
     if not fleet:
         raise ConfigError("sweep requires a non-empty fleet")
@@ -200,13 +207,10 @@ def count_runs(fleet: Sequence[ScenarioTrace], cfg: RunConfig) -> np.ndarray:
             raise ConfigError(f"duplicate scenario id {trace.id!r}: loss masks are keyed by id")
         seen.add(trace.id)
 
-    by_shape: dict[tuple[int, float], list[int]] = {}
-    for i, trace in enumerate(fleet):
-        by_shape.setdefault((len(trace), trace.t_s), []).append(i)
     counts = np.zeros((len(cfg.estimators), len(cfg.pers), len(fleet), cfg.seeds, 4), dtype=np.int64)
-    for (n_steps, t_s), members in by_shape.items():
+    for (n_steps, t_s), members in shape_groups(fleet).items():
         traces = [fleet[i] for i in members]
-        data = np.stack([t.data for t in traces], axis=1)[:, None, :, :, None]
+        data = group_rows(traces).transpose(1, 0, 2)[:, None, :, :, None]
         lv, fv = (tuple(data[..., j, :] for j in columns) for columns in (LV_COLUMNS, FV_COLUMNS))
         truth = _warn_blocks(zip(*lv), (1, len(traces), 1), fv, traces, "the truth side", cfg.camp)
         truth_warn = np.concatenate([warn for _, warn in truth])

@@ -49,7 +49,10 @@ class ScenarioTrace:
     """Paired LV/FV states sampled every t_s seconds.
 
     `data` is a read-only float64 array of shape (steps, 7), one row per
-    step, columns in CSV_COLUMNS order. Its time column is the only
+    step, columns in CSV_COLUMNS order. The constructor validates a copy of
+    the array it is given, so no array a caller holds can change a trace;
+    `load_fleet`'s traces are rows of one read-only array per (length,
+    period) group, which a sweep reads in place. Its time column is the only
     statement of the sample period: `t_s` is the spacing of the first two
     timestamps, and every later step must keep it. `lv` and `fv` give the
     same states as TimedState tuples for the per-run path; they are
@@ -390,10 +393,38 @@ def save_fleet(traces: Sequence[ScenarioTrace], out_dir: Path | str) -> Path:
 def load_fleet(fleet_dir: Path | str) -> list[ScenarioTrace]:
     """Load every scenario listed in a fleet directory's manifest, in manifest order.
 
-    The whole manifest is checked before any CSV is parsed.
+    The whole manifest is checked before any CSV is parsed. The traces of
+    each (length, sample period) group (`shape_groups`) are then laid out,
+    in manifest order, as one read-only float64 array of shape (traces,
+    steps, 7), and each trace's `data` is its row of it, so `count_runs`
+    sweeps the group in place (`group_rows`) and a sweep holds its fleet once.
     """
     manifest_path, t_s, files = _read_manifest(Path(fleet_dir))
-    return [_load_entry(manifest_path, t_s, scenario_id, path) for scenario_id, path in files.items()]
+    traces = [_load_entry(manifest_path, t_s, scenario_id, path) for scenario_id, path in files.items()]
+    for members in shape_groups(traces).values():
+        rows = np.stack([traces[i].data for i in members])
+        rows.flags.writeable = False
+        for i, data in zip(members, rows):  # no caller holds these traces yet, so their data can still move
+            object.__setattr__(traces[i], "data", data)
+    return traces
+
+
+def shape_groups(traces: Sequence[ScenarioTrace]) -> dict[tuple[int, float], list[int]]:
+    """The indices of the traces of each (length, sample period), in order."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, trace in enumerate(traces):
+        groups.setdefault((len(trace), trace.t_s), []).append(i)
+    return groups
+
+
+def group_rows(traces: Sequence[ScenarioTrace]) -> np.ndarray:
+    """The traces' data as one (trace, steps, 7) array: the read-only array `load_fleet` laid them out in when
+    they are all its rows in order, otherwise a stacked copy."""
+    rows = traces[0].data.base
+    if rows is not None and len(rows) == len(traces) and all(
+            trace.data.__array_interface__ == row.__array_interface__ for trace, row in zip(traces, rows)):
+        return rows
+    return np.stack([trace.data for trace in traces])
 
 
 def load_scenario(fleet_dir: Path | str, scenario_id: str) -> ScenarioTrace:

@@ -3,16 +3,19 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fcwsim.camp_linear import CampParams
+from fcwsim import harness
 from fcwsim.errors import ConfigError
-from fcwsim.estimators import EstimatorKind
+from fcwsim.estimators import EstimatorKind, estimate_batch
 from fcwsim.harness import (
     RunConfig,
     SweepCell,
+    count_runs,
     derive_seed,
     run_cell,
     run_scenario,
@@ -24,7 +27,7 @@ from fcwsim.harness import (
 )
 from fcwsim.kinematics import VehicleState, step_position_cv
 from fcwsim.metrics import aggregate
-from fcwsim.scenarios import GenConfig, generate_fleet, load_fleet, save_fleet
+from fcwsim.scenarios import GenConfig, ScenarioTrace, generate_fleet, group_rows, load_fleet, save_fleet, shape_groups
 from tracebuild import trace_from_states
 
 ALL_KINDS = tuple(EstimatorKind)
@@ -178,6 +181,48 @@ def test_sweep_never_builds_per_step_states(tmp_path):
     fleet = load_fleet(tmp_path)
     sweep(fleet, RunConfig(pers=(0.0, 0.5), seeds=2))
     assert not any({"lv", "fv"} & vars(trace).keys() for trace in fleet)
+
+
+def test_sweep_reads_a_loaded_fleet_in_place(tmp_path, monkeypatch):
+    # count_runs passes estimate_batch views of load_fleet's group array, and stacks a fleet built trace by trace.
+    received = []
+
+    def recording_estimate_batch(lv_x, lv_v, lv_a, *args):
+        received.append((lv_x, lv_v, lv_a))
+        return estimate_batch(lv_x, lv_v, lv_a, *args)
+
+    monkeypatch.setattr(harness, "estimate_batch", recording_estimate_batch)
+    save_fleet(generate_fleet(GenConfig(n_scenarios=3, seed=4)), tmp_path)
+    loaded = load_fleet(tmp_path)
+    built = [ScenarioTrace(trace.id, trace.data) for trace in loaded]
+    cfg = RunConfig(estimators=(EstimatorKind.CONSTANT_VELOCITY,), pers=(0.5,), seeds=1)
+    for fleet, shared in ((loaded, True), (built, False)):
+        received.clear()
+        sweep(fleet, cfg)
+        (columns,) = received
+        assert all(np.shares_memory(column, trace.data) == shared for column in columns for trace in fleet)
+
+
+def test_loaded_mixed_fleet_counts_as_traces_built_one_by_one(tmp_path):
+    # Two lengths and two periods; each group holds traces out of fleet order, and its fleet
+    # indices differ from its group indices.
+    first, second, third = generate_fleet(GenConfig(n_scenarios=3, seed=1))
+    slow = generate_fleet(GenConfig(n_scenarios=2, seed=5, t_s=0.2))
+    fleet = [first, ScenarioTrace(second.id, second.data[:100]), ScenarioTrace("s0005", slow[0].data), third,
+             ScenarioTrace("s0009", first.data[:100]), ScenarioTrace("s0010", slow[1].data)]
+    save_fleet(fleet, tmp_path)
+    loaded = load_fleet(tmp_path)
+    assert [len(shape_groups(loaded)[len(t), t.t_s]) for t in loaded] == [2, 2, 2, 2, 2, 2]
+    assert all(group_rows([loaded[i] for i in members]) is loaded[members[0]].data.base
+               for members in shape_groups(loaded).values())
+    copies = [ScenarioTrace(trace.id, trace.data.copy()) for trace in loaded]
+    cfg = RunConfig(pers=(0.0, 0.5, 0.9), seeds=2)
+
+    def digest(traces):
+        return hashlib.sha256(count_runs(traces, cfg).tobytes()).hexdigest()
+
+    assert digest(loaded) == digest(copies)
+    assert digest(loaded[::-1]) == digest(copies[::-1])
 
 
 def test_duplicate_ids_are_config_errors(fleet):

@@ -184,7 +184,7 @@ def with_value(data, k, j, value):
     return data
 
 
-def test_trace_data_is_a_read_only_copy():
+def test_trace_data_is_a_read_only_copy(tmp_path):
     data = np.array([[0.0, 10.0, 5.0, 0.0, 0.0, 5.0, 0.0], [0.1, 10.5, 5.0, 0.0, 0.5, 5.0, 0.0]])
     trace = ScenarioTrace("ro", data)
     data[1, 1] = 99.0
@@ -195,6 +195,25 @@ def test_trace_data_is_a_read_only_copy():
     assert trace != ScenarioTrace("other", trace.data)
     with pytest.raises(TypeError):
         hash(trace)
+    # A read-only view of a caller's array is copied too.
+    view = data[:]
+    view.flags.writeable = False
+    from_view = ScenarioTrace("view", view)
+    data[1, 1] = 10.5
+    assert from_view.data[1, 1] == 99.0 and not np.shares_memory(from_view.data, data)
+    # A loaded trace's data is a slice of its group's read-only array; neither takes a write, and
+    # a trace built from the slice holds a copy.
+    save_fleet([trace, ScenarioTrace("ro2", data)], tmp_path)
+    loaded = load_fleet(tmp_path)
+    rows = loaded[0].data.base
+    assert rows.shape == (2, 2, 7) and all(t.data.base is rows for t in loaded)
+    for array in (loaded[0].data, rows, np.asarray(loaded[1].data)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, ...] = 1.0
+    with pytest.raises(ValueError):
+        loaded[0].data.flags.writeable = True
+    rebuilt = ScenarioTrace("ro", loaded[0].data)
+    assert rebuilt == loaded[0] and not np.shares_memory(rebuilt.data, rows)
 
 
 def test_state_views_match_the_array():
